@@ -1,8 +1,10 @@
 #include "data/loader.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -51,14 +53,28 @@ Result<std::vector<Rating>> ParseRatingsText(const std::string& content,
     if (!u.ok()) return u.status();
     if (!i.ok()) return i.status();
     if (!v.ok()) return v.status();
-    int64_t row = u.value() - (one_based ? 1 : 0);
-    int64_t col = i.value() - (one_based ? 1 : 0);
-    if (row < 0 || col < 0) {
+    // Compared before the shift, which would overflow at INT64_MIN.
+    const int64_t base = one_based ? 1 : 0;
+    if (u.value() < base || i.value() < base) {
       return Status::InvalidArgument(
           StrFormat("line %d: negative index after base adjustment", line_no));
     }
-    out.push_back(Rating{static_cast<int32_t>(row), static_cast<int32_t>(col),
-                         static_cast<float>(v.value())});
+    const int64_t row = u.value() - base;
+    const int64_t col = i.value() - base;
+    // Ids become int32 indices, and the matrix shape is max id + 1.
+    constexpr int64_t kMaxId = std::numeric_limits<int32_t>::max() - 1;
+    if (row > kMaxId || col > kMaxId) {
+      return Status::InvalidArgument(
+          StrFormat("line %d: index above %lld", line_no,
+                    static_cast<long long>(kMaxId)));
+    }
+    const float value = static_cast<float>(v.value());
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          StrFormat("line %d: rating is not a finite float", line_no));
+    }
+    out.push_back(
+        Rating{static_cast<int32_t>(row), static_cast<int32_t>(col), value});
   }
   return out;
 }

@@ -4,33 +4,24 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "data/shard.h"
 #include "eval/metrics.h"
 #include "net/codec.h"
 #include "net/loopback_transport.h"
 #include "net/wire_format.h"
-#include "nomad/batch_controller.h"
-#include "nomad/pause_gate.h"
-#include "nomad/token_router.h"
+#include "nomad/token_worker_pool.h"
 #include "obs/metrics.h"
-#include "obs/solver_metrics.h"
 #include "obs/timeseries.h"
-#include "queue/mpmc_queue.h"
 #include "sched/schedule.h"
 #include "solver/sgd_kernel.h"
 #include "util/logging.h"
-#include "util/numa_topology.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -47,11 +38,11 @@ namespace {
 /// makes receivers accept the reset unconditionally anyway).
 constexpr uint32_t kRegrantVersionBump = 1u << 20;
 
-/// One rank's training run for one storage precision. The worker pool is
-/// the NomadSolver hot path (batched MpmcQueue drains, TokenRouter,
-/// optional BatchController and NUMA placement); what is new is the driver,
-/// which pumps the transport and coordinates the cross-rank barrier
-/// protocol of docs/ARCHITECTURE.md ("Distributed layer").
+/// One rank's training run for one storage precision. The workers are the
+/// shared-memory solver's TokenWorkerPool (nomad/token_worker_pool.h) with
+/// a RemoteHandOff policy; what is distributed is that policy and the
+/// driver, which pumps the transport and coordinates the cross-rank
+/// barrier protocol of docs/ARCHITECTURE.md ("Distributed layer").
 template <typename Real>
 class RankRun {
  public:
@@ -68,19 +59,15 @@ class RankRun {
         p_(options.train.num_workers),
         k_(options.train.rank),
         kernel_(kernel),
-        counts_(ds.train.nnz()),
-        gate_(options.train.num_workers),
         driver_rng_(options.train.seed ^ 0xD157D157ULL),
-        version_(static_cast<size_t>(ds.cols)),
-        owner_(static_cast<size_t>(ds.cols)) {}
+        version_(static_cast<size_t>(ds.cols)) {}
 
   Result<TrainResult> Run() {
     Setup();
-    StartWorkers();
+    wall_.Restart();
+    pool_->Start();
     const Status driver = DriveToCompletion();
-    stop_.store(true, std::memory_order_relaxed);
-    gate_.Resume();
-    for (auto& t : workers_) t.join();
+    pool_->Stop();
     NOMAD_RETURN_IF_ERROR(driver);
 
     TrainResult result;
@@ -93,7 +80,7 @@ class RankRun {
     result.trace = std::move(trace_);
     result.total_updates = global_updates_;
     result.total_seconds = global_seconds_;
-    result.worker_batch = std::move(batch_stats_);
+    result.worker_batch = pool_->batch_stats();
     result.rank_traffic = std::move(rank_traffic_);
     for (int r = 0; r < world_; ++r) {
       if (!IsLive(r)) result.dead_ranks.push_back(r);
@@ -107,26 +94,21 @@ class RankRun {
 
   void Setup() {
     InitFactorsT<Real>(ds_, opt_, &w_, &h_);
-    const int global_workers = world_ * p_;
-    partition_ = opt_.partition_by_ratings
-                     ? UserPartition::ByRatings(ds_.train, global_workers)
-                     : UserPartition::ByRows(ds_.rows, global_workers);
-    shards_ = ColumnShards::Build(ds_.train, partition_);
-    row_begin_ = partition_.Begin(rank_ * p_);
-    row_end_ = partition_.End(rank_ * p_ + p_ - 1);
+
+    // Observability handles. Every series carries rank="r" so a loopback
+    // world sharing one process-wide registry keeps the ranks apart.
+    obs::MetricsRegistry* resolved = obs::ResolveRegistry(opt_.metrics);
+    registry_ = resolved->enabled() ? resolved : &fallback_registry_;
+    pool_ = std::make_unique<TokenWorkerPool<Real, RemoteHandOff>>(
+        ds_, opt_, world_, rank_, &w_, &h_, kernel_, registry_, &handoff_);
 
     // Global-worker ownership starts at the static partition and grows when
-    // this rank adopts a dead rank's workers during recovery. worker q
-    // processes worker_globals_[q]'s shard entries; evaluation and the
-    // final gather walk every owned global's user range.
+    // this rank adopts a dead rank's workers during recovery; evaluation
+    // and the final gather walk every owned global's user range.
     dead_.assign(static_cast<size_t>(world_), 0);
     seen_hrow_ids_.assign(static_cast<size_t>(world_), {});
-    worker_globals_.assign(static_cast<size_t>(p_), {});
-    my_globals_.clear();
-    for (int q = 0; q < p_; ++q) {
-      worker_globals_[static_cast<size_t>(q)].push_back(rank_ * p_ + q);
-      my_globals_.push_back(rank_ * p_ + q);
-    }
+    RecomputeOwnership();
+    next_threshold_ = local_epoch_updates_;
 
     // Satellite budget lease: with a hard max_updates budget B, each rank
     // starts with an equal share as its local cap; rank 0 re-leases the
@@ -135,7 +117,7 @@ class RankRun {
     if (opt_.max_updates > 0) {
       const int64_t base = opt_.max_updates / world_;
       const int64_t extra = rank_ < opt_.max_updates % world_ ? 1 : 0;
-      update_cap_.store(base + extra, std::memory_order_relaxed);
+      pool_->SetUpdatesCap(base + extra);
     }
 
     remote_prob_ = o_.remote_token_fraction;
@@ -145,83 +127,12 @@ class RankRun {
     }
     if (world_ == 1) remote_prob_ = 0.0;
 
-    // NUMA placement of this rank's workers and factor slices — the same
-    // policy block as the shared-memory solver, scoped to the rank's rows.
-    const NumaTopology topo = opt_.numa_policy == NumaPolicy::kOff
-                                  ? NumaTopology::SingleNode()
-                                  : NumaTopology::Detect();
-    numa_place_ = opt_.numa_policy != NumaPolicy::kOff && topo.multi_node();
-    if (numa_place_) {
-      const std::vector<int> worker_node = topo.AssignWorkers(p_);
-      worker_cpus_.resize(static_cast<size_t>(p_));
-      std::vector<int> node_ids;
-      for (const NumaNode& n : topo.nodes()) node_ids.push_back(n.id);
-      for (int q = 0; q < p_; ++q) {
-        worker_cpus_[static_cast<size_t>(q)] =
-            topo.node(worker_node[static_cast<size_t>(q)]).cpus;
-      }
-      const size_t h_bytes = static_cast<size_t>(ds_.cols) *
-                             static_cast<size_t>(h_.stride()) * sizeof(Real);
-      if (opt_.numa_policy == NumaPolicy::kAuto) {
-        for (int q = 0; q < p_; ++q) {
-          const int32_t begin = partition_.Begin(rank_ * p_ + q);
-          const int32_t end = partition_.End(rank_ * p_ + q);
-          if (end <= begin) continue;
-          BindMemoryToNode(
-              w_.Row(begin),
-              static_cast<size_t>(end - begin) *
-                  static_cast<size_t>(w_.stride()) * sizeof(Real),
-              topo.node(worker_node[static_cast<size_t>(q)]).id);
-        }
-        InterleaveMemory(h_.Row(0), h_bytes, node_ids);
-      } else {  // NumaPolicy::kInterleave
-        InterleaveMemory(w_.Row(0),
-                         static_cast<size_t>(ds_.rows) *
-                             static_cast<size_t>(w_.stride()) * sizeof(Real),
-                         node_ids);
-        InterleaveMemory(h_.Row(0), h_bytes, node_ids);
-      }
-      router_ = std::make_unique<TokenRouter>(opt_.routing, p_);
-      router_->MakeNumaAware(worker_node);
-    } else {
-      router_ = std::make_unique<TokenRouter>(opt_.routing, p_);
-    }
-
-    queues_.reserve(static_cast<size_t>(p_));
-    for (int q = 0; q < p_; ++q) {
-      queues_.push_back(std::make_unique<MpmcQueue<int32_t>>());
-    }
-    // Deterministic global scatter: every rank draws the same sequence and
-    // keeps only the tokens that land on its own workers, so the initial
-    // distribution matches the single-process solver's scatter exactly.
-    Rng scatter(opt_.seed ^ 0xA5A5A5A5ULL);
-    for (int32_t j = 0; j < ds_.cols; ++j) {
-      const int g =
-          static_cast<int>(scatter.NextBelow(static_cast<uint64_t>(
-              world_ * p_)));
-      if (g / p_ == rank_) {
-        queues_[static_cast<size_t>(g % p_)]->Push(j);
-      }
-    }
-    for (auto& o : owner_) o.store(-1, std::memory_order_relaxed);
-
-    local_epoch_updates_ = 0;
-    for (int q = 0; q < p_; ++q) {
-      local_epoch_updates_ += shards_.WorkerNnz(rank_ * p_ + q);
-    }
-    local_epoch_updates_ = std::max<int64_t>(local_epoch_updates_, 1);
-    next_threshold_ = local_epoch_updates_;
-
     // Sized up front: a fast peer's h-row broadcast can land while this
     // rank is still in the conservation phase of the same barrier, so Pump
     // must be able to count it at any time.
     hrow_received_.assign(static_cast<size_t>(world_), 0);
     wrow_received_.assign(static_cast<size_t>(world_), 0);
 
-    // Observability handles. Every series carries rank="r" so a loopback
-    // world sharing one process-wide registry keeps the ranks apart.
-    obs::MetricsRegistry* resolved = obs::ResolveRegistry(opt_.metrics);
-    registry_ = resolved->enabled() ? resolved : &fallback_registry_;
     const obs::Labels rl = {{"rank", std::to_string(rank_)}};
     tokens_sent_ = registry_->GetCounter("nomad_dist_tokens_sent_total", rl);
     tokens_received_ =
@@ -270,9 +181,6 @@ class RankRun {
         registry_->GetGauge("nomad_dist_transport_messages_sent", rl);
     transport_msgs_received_ =
         registry_->GetGauge("nomad_dist_transport_messages_received", rl);
-    router_->AttachMetrics(
-        registry_->GetCounter("nomad_router_local_picks_total", rl),
-        registry_->GetCounter("nomad_router_remote_picks_total", rl));
     pump_latency_ = registry_->GetHistogram(
         "nomad_dist_pump_round_latency_seconds", obs::kLatencyBounds, rl);
     own_timeline_.Bind(registry_);
@@ -283,214 +191,56 @@ class RankRun {
     }
   }
 
-  // ---- the worker pool (the NomadSolver hot path + remote hand-off) ----
+  // ---- the pool's hand-off policy ----
 
-  void StartWorkers() {
-    const bool auto_batch = opt_.token_batch_mode == TokenBatchMode::kAuto;
-    const int fixed_batch =
-        EffectiveMaxBatch(ds_.cols, world_ * p_, opt_.token_batch_size);
-    const int max_batch =
-        auto_batch
-            ? EffectiveMaxBatch(ds_.cols, world_ * p_, opt_.max_token_batch)
-            : fixed_batch;
-    BatchControllerConfig controller_config;
-    controller_config.max_batch = max_batch;
-    controller_config.initial_batch = std::min(fixed_batch, max_batch);
-    batch_stats_.resize(static_cast<size_t>(p_));
+  /// Sends a processed token to a random live remote rank with probability
+  /// remote_prob_, carrying h_j and its bumped hop version; everything else
+  /// about the worker loop is TokenWorkerPool's. Called from the workers.
+  struct RemoteHandOff {
+    using Buffer = std::vector<uint8_t>;
+    RankRun* run;
 
-    const int retry_limit = std::max(0, o_.send_retry_limit);
-    auto worker_fn = [this, auto_batch, fixed_batch, max_batch,
-                      controller_config, retry_limit](int q) {
-      if (numa_place_) {
-        PinCurrentThreadToCpus(worker_cpus_[static_cast<size_t>(q)]);
-      }
-      // Seed by *global* worker id so no two workers of the job share a
-      // stream.
-      Rng rng(opt_.seed +
-              7919ULL * static_cast<uint64_t>(rank_ * p_ + q + 1));
-      BatchController controller(controller_config);
-      // Single accumulation path behind the live scrape and this rank's
-      // WorkerBatchStats (Finish() views these same registry cells).
-      obs::WorkerObs wobs = obs::WorkerObs::Create(
-          registry_, rank_, q,
-          auto_batch ? controller.batch() : fixed_batch);
-      std::vector<int32_t> tokens(static_cast<size_t>(max_batch));
-      std::vector<int> dests(static_cast<size_t>(max_batch));
-      std::vector<std::vector<int32_t>> outbound(static_cast<size_t>(p_));
-      for (auto& buf : outbound) buf.reserve(static_cast<size_t>(max_batch));
-      std::vector<uint8_t> frame;
-      const TokenRouter::SizeProbe probe = [this](int d) {
-        return queues_[static_cast<size_t>(d)]->SizeEstimate();
+    int PickRemote(Rng* rng) const {
+      const int world = run->world_;
+      if (world == 1 || !(rng->NextDouble() < run->remote_prob_)) return -1;
+      const auto draw = [&] {  // uniform over the other ranks
+        const int d =
+            static_cast<int>(rng->NextBelow(static_cast<uint64_t>(world - 1)));
+        return d >= run->rank_ ? d + 1 : d;
       };
-      int idle_streak = 0;
-      // Same hot-path latency discipline as the shared-memory solver: two
-      // clock reads per round, gated on the bundle being live (it always
-      // is here — the fallback registry keeps dist accounting on — but the
-      // gate keeps the two loops textually parallel).
-      using LatencyClock = std::chrono::steady_clock;
-      const bool timed = wobs.enabled();
-      LatencyClock::time_point wait_start =
-          timed ? LatencyClock::now() : LatencyClock::time_point();
-      while (!stop_.load(std::memory_order_relaxed)) {
-        gate_.CheckIn();
-        if (stop_.load(std::memory_order_relaxed)) break;
-        const int want = auto_batch ? controller.batch() : fixed_batch;
-        const size_t got = queues_[static_cast<size_t>(q)]->TryPopBatch(
-            tokens.data(), static_cast<size_t>(want));
-        if (got == 0) {
-          if (idle_streak < 4) {
-            std::this_thread::yield();
-          } else {
-            if (idle_streak == 4) {
-              if (auto_batch) controller.NoteIdleBackoff();
-              wobs.NoteBackoff(auto_batch ? controller.batch() : fixed_batch);
-            }
-            const int shift = std::min(idle_streak - 4, 7);
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(1 << shift));
-          }
-          ++idle_streak;
-          continue;
+      int dest = draw();
+      // Route around latched-dead ranks. The mask is advisory (a stale read
+      // only costs a retried send), and redrawing keeps the pick uniform
+      // over the survivors.
+      if (world <= 64) {
+        const uint64_t mask = run->dead_mask_.load(std::memory_order_relaxed);
+        for (int tries = 0; tries < 4 && ((mask >> dest) & 1); ++tries) {
+          dest = draw();
         }
-        idle_streak = 0;
-        LatencyClock::time_point work_start;
-        if (timed) {
-          work_start = LatencyClock::now();
-          wobs.ObserveQueueWaitSeconds(
-              std::chrono::duration<double>(work_start - wait_start).count());
-        }
-        {
-          const size_t depth = queues_[static_cast<size_t>(q)]->SizeEstimate();
-          if (auto_batch) {
-            controller.Observe(static_cast<size_t>(want), got, depth);
-          }
-          // Sampling the batch after every controller interaction catches
-          // each SetBatch transition, keeping the registry view
-          // bit-identical to controller.Stats().
-          wobs.ObserveRound(static_cast<size_t>(want), got, depth,
-                            auto_batch ? controller.batch() : fixed_batch);
-        }
-        size_t local_n = 0;  // tokens staying on this rank, compacted
-        for (size_t b = 0; b < got; ++b) {
-          const int32_t j = tokens[b];
-          int expected = -1;
-          const bool acquired =
-              owner_[static_cast<size_t>(j)].compare_exchange_strong(
-                  expected, q, std::memory_order_acquire);
-          NOMAD_CHECK(acquired) << "item " << j << " already owned by worker "
-                                << expected << " on rank " << rank_;
-          // Past the leased update budget the token only hops (conservation
-          // must hold for the barrier) without being processed; the driver
-          // is already requesting the barrier that re-leases or stops.
-          const bool in_budget =
-              total_updates_.load(std::memory_order_relaxed) <
-              update_cap_.load(std::memory_order_relaxed);
-          if (in_budget) {
-            Real* hj = h_.Row(j);
-            int32_t applied = 0;
-            for (int g : worker_globals_[static_cast<size_t>(q)]) {
-              int32_t n = 0;
-              const ColumnShards::Entry* entries = shards_.ColEntries(g, j, &n);
-              for (int32_t t = 0; t < n; ++t) {
-                const ColumnShards::Entry& e = entries[t];
-                kernel_.Apply(e.value, &counts_, e.csc_pos, w_.Row(e.row), hj);
-              }
-              applied += n;
-            }
-            if (applied > 0) {
-              total_updates_.fetch_add(applied, std::memory_order_relaxed);
-              wobs.NoteUpdates(applied);
-            }
-          }
-          const bool remote =
-              world_ > 1 && rng.NextDouble() < remote_prob_;
-          int dest = -1;
-          if (remote) {
-            dest = static_cast<int>(
-                rng.NextBelow(static_cast<uint64_t>(world_ - 1)));
-            if (dest >= rank_) ++dest;
-            // Route around latched-dead ranks. The mask is advisory (a
-            // stale read only costs a retried send), and redrawing keeps
-            // the pick uniform over the survivors.
-            if (world_ <= 64) {
-              const uint64_t mask = dead_mask_.load(std::memory_order_relaxed);
-              for (int tries = 0; tries < 4 && ((mask >> dest) & 1); ++tries) {
-                dest = static_cast<int>(
-                    rng.NextBelow(static_cast<uint64_t>(world_ - 1)));
-                if (dest >= rank_) ++dest;
-              }
-              if ((mask >> dest) & 1) dest = -1;  // no live remote drawn
-            }
-          }
-          if (dest >= 0) {
-            // Serialize h_j while still owning the token: the frame is the
-            // hand-off, and nobody may touch the row mid-encode.
-            const uint32_t v = version_[static_cast<size_t>(j)].fetch_add(
-                                   1u, std::memory_order_relaxed) +
-                               1u;
-            EncodeFactorRow<Real>(MsgType::kToken, j, v, h_.Row(j), k_,
-                                  &frame);
-            owner_[static_cast<size_t>(j)].store(-1,
-                                                 std::memory_order_release);
-            // A lost frame would un-conserve the token and wedge the next
-            // barrier, so sends retry transient (Unavailable) failures with
-            // backoff; a peer that stays unreachable is the recovery
-            // layer's problem and the token stays local meanwhile.
-            Status sent;
-            for (int attempt = 0;; ++attempt) {
-              sent = transport_->Send(dest, frame);  // copy: retries reuse it
-              if (sent.ok() || attempt >= retry_limit ||
-                  sent.code() != StatusCode::kUnavailable) {
-                break;
-              }
-              send_retries_.Inc();
-              std::this_thread::sleep_for(std::chrono::microseconds(
-                  50u << (attempt < 6 ? attempt : 6)));
-            }
-            if (sent.ok()) {
-              tokens_sent_.Inc();
-              tx_frames_[static_cast<size_t>(dest)].Inc();
-              tx_bytes_[static_cast<size_t>(dest)].Inc(
-                  static_cast<int64_t>(frame.size()));
-            } else {
-              tokens[local_n++] = j;
-            }
-          } else {
-            owner_[static_cast<size_t>(j)].store(-1,
-                                                 std::memory_order_release);
-            tokens[local_n++] = j;
-          }
-        }
-        if (local_n > 0) {
-          router_->PickBatch(q, &rng, probe, static_cast<int>(local_n),
-                             dests.data());
-          for (size_t b = 0; b < local_n; ++b) {
-            outbound[static_cast<size_t>(dests[b])].push_back(tokens[b]);
-          }
-          for (int d = 0; d < p_; ++d) {
-            auto& buf = outbound[static_cast<size_t>(d)];
-            if (buf.empty()) continue;
-            queues_[static_cast<size_t>(d)]->PushBatch(buf.data(),
-                                                       buf.size());
-            buf.clear();
-          }
-          wobs.NotePushed(static_cast<int64_t>(local_n));
-        }
-        if (timed) {
-          const LatencyClock::time_point round_end = LatencyClock::now();
-          wobs.ObserveServiceSeconds(
-              std::chrono::duration<double>(round_end - work_start).count() /
-              static_cast<double>(got));
-          wait_start = round_end;
-        }
+        if ((mask >> dest) & 1) return -1;  // no live remote drawn
       }
-      batch_stats_[static_cast<size_t>(q)] =
-          wobs.Finish(auto_batch ? &controller : nullptr, fixed_batch);
-    };
-    workers_.reserve(static_cast<size_t>(p_));
-    wall_.Restart();
-    for (int q = 0; q < p_; ++q) workers_.emplace_back(worker_fn, q);
-  }
+      return dest;
+    }
+
+    // The frame is the hand-off: the pool calls this while the worker still
+    // owns j, so nobody touches the row mid-encode.
+    void Encode(int32_t j, Buffer* frame) const {
+      const uint32_t v = run->version_[static_cast<size_t>(j)].fetch_add(
+                             1u, std::memory_order_relaxed) +
+                         1u;
+      EncodeFactorRow<Real>(MsgType::kToken, j, v, run->h_.Row(j), run->k_,
+                            frame);
+    }
+
+    // A lost frame would un-conserve the token and wedge the next barrier,
+    // so transient failures are retried; a peer that stays unreachable is
+    // the recovery layer's problem and the token stays local meanwhile.
+    bool Send(int dest, const Buffer& frame) const {
+      if (!run->SendWithRetry(dest, frame).ok()) return false;
+      run->tokens_sent_.Inc();
+      return true;
+    }
+  };
 
   // ---- transport pump ----
 
@@ -569,8 +319,9 @@ class RankRun {
             if (in_barrier_) {
               held_.push_back(row.id);
             } else {
-              queues_[driver_rng_.NextBelow(static_cast<uint64_t>(p_))]
-                  ->Push(row.id);
+              pool_->queue(static_cast<int>(
+                      driver_rng_.NextBelow(static_cast<uint64_t>(p_))))
+                  .Push(row.id);
             }
           } else {
             // State broadcast, not a hand-off: the holder's copy is
@@ -852,12 +603,11 @@ class RankRun {
 
   /// The contiguous user-row ranges this rank owns: its static partition
   /// slice plus everything adopted from dead ranks. Evaluation and the
-  /// final gather walk these instead of [row_begin_, row_end_).
   std::vector<std::pair<int32_t, int32_t>> OwnedRowRanges() const {
     std::vector<std::pair<int32_t, int32_t>> ranges;
     for (int g : my_globals_) {
-      const int32_t b = partition_.Begin(g);
-      const int32_t e = partition_.End(g);
+      const int32_t b = pool_->partition().Begin(g);
+      const int32_t e = pool_->partition().End(g);
       if (e <= b) continue;
       if (!ranges.empty() && ranges.back().second == b) {
         ranges.back().second = e;
@@ -897,13 +647,13 @@ class RankRun {
   Status DriveStep(bool* finished) {
     NOMAD_RETURN_IF_ERROR(Pump());
     NOMAD_RETURN_IF_ERROR(CheckDeaths());
-    const int64_t done = total_updates_.load(std::memory_order_relaxed);
+    const int64_t done = pool_->updates();
     const bool out_of_time =
         opt_.max_seconds > 0 &&
         train_seconds_ + wall_.ElapsedSeconds() >= opt_.max_seconds;
     const bool out_of_budget =
         opt_.max_updates > 0 &&
-        done >= update_cap_.load(std::memory_order_relaxed);
+        done >= pool_->updates_cap();
     if (rank_ == 0) {
       bool requested = done >= next_threshold_ || out_of_time ||
                        out_of_budget || barrier_after_recovery_;
@@ -963,20 +713,8 @@ class RankRun {
     NOMAD_RETURN_IF_ERROR(EvaluateAndDecide(&stop));
 
     if (!stop) {
-      Rng rescatter(opt_.seed ^ (0xBEEF0000ULL + static_cast<uint64_t>(
-                                                     epoch_)));
-      for (int32_t j : held_) {
-        queues_[rescatter.NextBelow(static_cast<uint64_t>(p_))]->Push(j);
-      }
-      held_.clear();
-      in_barrier_ = false;
-      request_sent_ = false;
+      Unquiesce(0xBEEF0000ULL + static_cast<uint64_t>(epoch_));
       ++epoch_;
-      next_threshold_ =
-          total_updates_.load(std::memory_order_relaxed) +
-          local_epoch_updates_;
-      wall_.Restart();
-      gate_.Resume();
       *finished = false;
       return Status::OK();
     }
@@ -992,14 +730,32 @@ class RankRun {
   /// so an aborted barrier and the recovery that follows it compose.
   void Quiesce() {
     if (in_barrier_) return;
-    gate_.Pause();
+    pool_->Pause();
     train_seconds_ += wall_.ElapsedSeconds();
     in_barrier_ = true;
     for (int q = 0; q < p_; ++q) {
-      while (auto token = queues_[static_cast<size_t>(q)]->TryPop()) {
+      while (auto token = pool_->queue(q).TryPop()) {
         held_.push_back(*token);
       }
     }
+  }
+
+  /// Undoes Quiesce: re-scatters the held tokens over the local queues
+  /// (deterministically, seeded by `salt`), re-arms the epoch pacing and
+  /// releases the workers.
+  void Unquiesce(uint64_t salt) {
+    Rng rescatter(opt_.seed ^ salt);
+    for (int32_t j : held_) {
+      pool_->queue(static_cast<int>(
+                       rescatter.NextBelow(static_cast<uint64_t>(p_))))
+          .Push(j);
+    }
+    held_.clear();
+    in_barrier_ = false;
+    request_sent_ = false;
+    next_threshold_ = pool_->updates() + local_epoch_updates_;
+    wall_.Restart();
+    pool_->Resume();
   }
 
   Status AwaitConservation() {
@@ -1142,7 +898,7 @@ class RankRun {
     mine.epoch = epoch_;
     mine.sq_err = sq;
     mine.count = cnt;
-    mine.updates = total_updates_.load(std::memory_order_relaxed);
+    mine.updates = pool_->updates();
     mine.seconds = train_seconds_;
     // Per-run registry deltas: rank_traffic is a view over the same
     // counters the scrape endpoint serves.
@@ -1241,7 +997,7 @@ class RankRun {
         }
         if (r == 0) {
           if (resume.held >= 0) {
-            update_cap_.store(resume.held, std::memory_order_relaxed);
+            pool_->SetUpdatesCap(resume.held);
           }
           continue;
         }
@@ -1278,7 +1034,7 @@ class RankRun {
                 ? static_cast<double>(global_updates_) / global_seconds_
                 : 0.0);
         if (f.held >= 0) {
-          update_cap_.store(f.held, std::memory_order_relaxed);
+          pool_->SetUpdatesCap(f.held);
         }
         *stop = f.flag != 0;
         return Status::OK();
@@ -1545,29 +1301,19 @@ class RankRun {
     // 7. Resume degraded. Tokens re-scatter deterministically; rank 0
     //    schedules an immediate barrier so the post-recovery RMSE lands in
     //    the trace (the visible recovery dip).
-    Rng rescatter(opt_.seed ^ (0xFEED0000ULL + static_cast<uint64_t>(gen)));
-    for (int32_t j : held_) {
-      queues_[rescatter.NextBelow(static_cast<uint64_t>(p_))]->Push(j);
-    }
-    held_.clear();
-    in_barrier_ = false;
-    request_sent_ = false;
-    next_threshold_ = total_updates_.load(std::memory_order_relaxed) +
-                      local_epoch_updates_;
     if (rank_ == 0) barrier_after_recovery_ = true;
-    wall_.Restart();
-    gate_.Resume();
+    Unquiesce(0xFEED0000ULL + static_cast<uint64_t>(gen));
     return Status::OK();
   }
 
-  /// Redistributes every dead rank's global workers over the survivors:
-  /// global worker g of a dead rank goes to the (slot mod live)-th live
-  /// rank, spread round-robin over that rank's local workers. Pure
-  /// function of the shared dead set, so all ranks agree without a
-  /// message. Workers must be parked (they read worker_globals_).
+  /// Derives this rank's global workers, and the epoch pacing, from the
+  /// dead set: global worker g of a dead rank goes to the (slot mod
+  /// live)-th live rank, spread round-robin over that rank's local
+  /// workers. Pure function of the shared dead set, so all ranks agree
+  /// without a message. Workers must be parked (they read worker_globals).
   void RecomputeOwnership() {
     for (int q = 0; q < p_; ++q) {
-      worker_globals_[static_cast<size_t>(q)].assign(1, rank_ * p_ + q);
+      pool_->worker_globals(q).assign(1, rank_ * p_ + q);
     }
     my_globals_.clear();
     for (int q = 0; q < p_; ++q) my_globals_.push_back(rank_ * p_ + q);
@@ -1582,13 +1328,15 @@ class RankRun {
             static_cast<int>((slot / live.size()) % static_cast<size_t>(p_));
         ++slot;
         if (adopter != rank_) continue;
-        worker_globals_[static_cast<size_t>(local_worker)].push_back(g);
+        pool_->worker_globals(local_worker).push_back(g);
         my_globals_.push_back(g);
       }
     }
     std::sort(my_globals_.begin(), my_globals_.end());
     local_epoch_updates_ = 0;
-    for (int g : my_globals_) local_epoch_updates_ += shards_.WorkerNnz(g);
+    for (int g : my_globals_) {
+      local_epoch_updates_ += pool_->shards().WorkerNnz(g);
+    }
     local_epoch_updates_ = std::max<int64_t>(local_epoch_updates_, 1);
   }
 
@@ -1609,35 +1357,13 @@ class RankRun {
   // ---- model + data layout ----
   FactorMatrixT<Real> w_;
   FactorMatrixT<Real> h_;
-  UserPartition partition_;
-  ColumnShards shards_;
-  StepCounts counts_;
-  int32_t row_begin_ = 0;
-  int32_t row_end_ = 0;
   double remote_prob_ = 0.0;
   int64_t local_epoch_updates_ = 1;
 
-  // ---- rank-local concurrency (the NomadSolver machinery) ----
-  std::vector<std::unique_ptr<MpmcQueue<int32_t>>> queues_;
-  std::unique_ptr<TokenRouter> router_;
-  PauseGate gate_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> total_updates_{0};
-  std::vector<std::thread> workers_;
-  std::vector<WorkerBatchStats> batch_stats_;
-  bool numa_place_ = false;
-  std::vector<std::vector<int>> worker_cpus_;
   /// Latched-dead ranks as a bit mask for the workers' remote routing
   /// (advisory; a world over 64 ranks falls back to retry-only). Written
   /// by the driver, read by workers.
   std::atomic<uint64_t> dead_mask_{0};
-  /// Absolute local update cap of the current budget lease (INT64_MAX
-  /// when max_updates is unset). Written by the driver, read by workers.
-  std::atomic<int64_t> update_cap_{std::numeric_limits<int64_t>::max()};
-  /// worker_globals_[q]: the global workers whose shard entries local
-  /// worker q processes — its own, plus any adopted from dead ranks.
-  /// Mutated only while the workers are parked in the gate.
-  std::vector<std::vector<int>> worker_globals_;
 
   // ---- driver/protocol state (driver thread only) ----
   Rng driver_rng_;
@@ -1649,7 +1375,6 @@ class RankRun {
   // which the driver itself wrote; ownership hand-offs synchronize
   // through the queues and the transport.
   std::vector<std::atomic<uint32_t>> version_;
-  std::vector<std::atomic<int>> owner_;
   std::deque<ControlFrame> ctrl_q_;
   std::vector<int32_t> held_;
   std::vector<int64_t> hrow_received_;
@@ -1717,6 +1442,10 @@ class RankRun {
   /// interleaving of every rank's.
   obs::RunTimeline own_timeline_;
   obs::RunTimeline* timeline_ = nullptr;
+
+  // ---- the workers (declared last: destroyed before what they use) ----
+  RemoteHandOff handoff_{this};
+  std::unique_ptr<TokenWorkerPool<Real, RemoteHandOff>> pool_;
 };
 
 template <typename Real>

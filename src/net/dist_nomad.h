@@ -53,12 +53,13 @@ struct DistNomadOptions {
 ///
 /// Multi-process NOMAD (paper Sec. 2.2, Algorithm 2): users are partitioned
 /// across ranks (and across each rank's workers), item tokens circulate
-/// both within a rank — through the unchanged MpmcQueue + TokenRouter hot
-/// path — and between ranks through a net::Transport carrying the token's
-/// h_j row on the wire.
+/// both within a rank and between ranks, through a net::Transport carrying
+/// the token's h_j row on the wire.
 ///
-/// Each rank runs the familiar worker pool; a driver thread additionally
-/// pumps the transport: inbound tokens are written into the local H and
+/// Each rank runs the shared-memory solver's TokenWorkerPool
+/// (nomad/token_worker_pool.h), whose hand-off policy may send a token to
+/// another rank. A driver thread additionally pumps the transport:
+/// inbound tokens are written into the local H and
 /// enqueued, and trace points are coordinated barriers (rank 0 collects
 /// held-token counts until every circulating token is accounted for, all
 /// ranks exchange current h rows, each evaluates its own user range, and

@@ -12,6 +12,16 @@ int EffectiveMaxBatch(int64_t cols, int num_workers, int64_t requested) {
       1, std::min<int64_t>(requested, hoard_cap)));
 }
 
+BatchControllerConfig MakeBatchControllerConfig(int64_t cols, int num_workers,
+                                                int64_t fixed_batch,
+                                                int64_t max_request) {
+  BatchControllerConfig config;
+  config.max_batch = EffectiveMaxBatch(cols, num_workers, max_request);
+  config.initial_batch = std::min(
+      EffectiveMaxBatch(cols, num_workers, fixed_batch), config.max_batch);
+  return config;
+}
+
 BatchController::BatchController(const BatchControllerConfig& config)
     : config_(config) {
   config_.min_batch = std::max(1, config_.min_batch);

@@ -53,6 +53,15 @@ struct BatchControllerConfig {
   int trajectory_limit = 1024;
 };
 
+/// The configuration a pool of `num_workers` workers sharing `cols` tokens
+/// runs its controllers with. `max_batch` is the EffectiveMaxBatch clamp of
+/// `max_request` (the auto-mode ceiling; fixed mode passes `fixed_batch`
+/// itself), and `initial_batch` the clamped fixed batch, so auto runs
+/// start exactly where fixed runs stay.
+BatchControllerConfig MakeBatchControllerConfig(int64_t cols, int num_workers,
+                                                int64_t fixed_batch,
+                                                int64_t max_request);
+
 /// Per-worker runtime autotuner for the NOMAD token-batch size.
 ///
 /// The fixed `TrainOptions::token_batch_size` trades queue-lock

@@ -1,27 +1,15 @@
 #include "nomad/nomad_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <vector>
+#include <utility>
 
-#include "data/shard.h"
 #include "eval/metrics.h"
-#include "nomad/batch_controller.h"
-#include "nomad/pause_gate.h"
-#include "nomad/row_ownership.h"
-#include "nomad/token_router.h"
+#include "nomad/token_worker_pool.h"
 #include "obs/metrics.h"
-#include "obs/solver_metrics.h"
 #include "obs/timeseries.h"
-#include "queue/mpmc_queue.h"
 #include "solver/sgd_kernel.h"
-#include "util/logging.h"
-#include "util/numa_topology.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -40,9 +28,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   if (!schedule.ok()) return schedule.status();
   auto loss = ResolveLoss(options.loss);
   if (!loss.ok()) return loss.status();
-
-  const int p = options.num_workers;
-  const int k = options.rank;
 
   TrainResult result;
   result.solver_name = name;
@@ -76,260 +61,12 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
     return result;
   }
 
-  const UserPartition partition =
-      options.partition_by_ratings
-          ? UserPartition::ByRatings(ds.train, p)
-          : UserPartition::ByRows(ds.rows, p);
-  const ColumnShards shards = ColumnShards::Build(ds.train, partition);
-  StepCounts counts(ds.train.nnz());
-
-  // NUMA placement (numa_topology.h). Only a multi-node host with the
-  // policy enabled does anything here; single-node hosts and numa=off take
-  // the exact historical code path (empty worker_cpus ⇒ no pinning, no
-  // page binding, topology-blind router).
-  const NumaTopology topo = options.numa_policy == NumaPolicy::kOff
-                                ? NumaTopology::SingleNode()
-                                : NumaTopology::Detect();
-  const bool numa_place =
-      options.numa_policy != NumaPolicy::kOff && topo.multi_node();
-  std::vector<int> worker_node;               // worker -> node index
-  std::vector<std::vector<int>> worker_cpus;  // worker -> its node's CPUs
-  if (numa_place) {
-    worker_node = topo.AssignWorkers(p);
-    worker_cpus.resize(static_cast<size_t>(p));
-    std::vector<int> node_ids;  // kernel ids, for the mbind node masks
-    for (const NumaNode& n : topo.nodes()) node_ids.push_back(n.id);
-    for (int q = 0; q < p; ++q) {
-      worker_cpus[static_cast<size_t>(q)] =
-          topo.node(worker_node[static_cast<size_t>(q)]).cpus;
-    }
-    const size_t h_bytes = static_cast<size_t>(ds.cols) *
-                           static_cast<size_t>(h.stride()) * sizeof(Real);
-    if (options.numa_policy == NumaPolicy::kAuto) {
-      // Each worker reads and writes only its own w-row partition
-      // [Begin(q), End(q)) for the whole run: bind those pages to the
-      // worker's node (numa_alloc_onnode-style placement of an
-      // already-touched allocation, via mbind+MPOL_MF_MOVE). The h rows
-      // circulate between all workers, so their pages are interleaved —
-      // every node then serves an equal share of the remote h traffic.
-      for (int q = 0; q < p; ++q) {
-        const int32_t begin = partition.Begin(q);
-        const int32_t end = partition.End(q);
-        if (end <= begin) continue;
-        BindMemoryToNode(
-            w.Row(begin),
-            static_cast<size_t>(end - begin) *
-                static_cast<size_t>(w.stride()) * sizeof(Real),
-            topo.node(worker_node[static_cast<size_t>(q)]).id);
-      }
-      InterleaveMemory(h.Row(0), h_bytes, node_ids);
-    } else {  // NumaPolicy::kInterleave
-      InterleaveMemory(w.Row(0),
-                       static_cast<size_t>(ds.rows) *
-                           static_cast<size_t>(w.stride()) * sizeof(Real),
-                       node_ids);
-      InterleaveMemory(h.Row(0), h_bytes, node_ids);
-    }
-  }
-
-  // Per-worker token queues; initial tokens scattered uniformly
-  // (Algorithm 1 lines 7-10).
-  std::vector<std::unique_ptr<MpmcQueue<int32_t>>> queues;
-  queues.reserve(static_cast<size_t>(p));
-  for (int q = 0; q < p; ++q) {
-    queues.push_back(std::make_unique<MpmcQueue<int32_t>>());
-  }
-  Rng scatter_rng(options.seed ^ 0xA5A5A5A5ULL);
-  for (int32_t j = 0; j < ds.cols; ++j) {
-    queues[scatter_rng.NextBelow(static_cast<uint64_t>(p))]->Push(j);
-  }
-
-  TokenRouter router(options.routing, p);
-  // numa=auto biases hand-offs toward the sender's node (interleave keeps
-  // routing topology-blind: its point is spreading bandwidth, not locality).
-  if (numa_place && options.numa_policy == NumaPolicy::kAuto) {
-    router.MakeNumaAware(worker_node);
-  }
-  router.AttachMetrics(
-      registry->GetCounter("nomad_router_local_picks_total"),
-      registry->GetCounter("nomad_router_remote_picks_total"));
-  // Queue sizes are advisory everywhere they are used (Sec. 3.3), so the
-  // probe reads the lock-free estimate instead of taking the destination
-  // queue's mutex — a least-loaded batch no longer locks the queues it
-  // merely considers.
-  const TokenRouter::SizeProbe probe = [&queues](int q) {
-    return queues[static_cast<size_t>(q)]->SizeEstimate();
-  };
-
-  PauseGate gate(p);
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> total_updates{0};
-  // Updates the workers may apply before the driver's next trace point /
-  // budget stop. Workers check it per token, so overshoot stays bounded by
-  // p × (ratings of one column) no matter how rarely the driver thread gets
-  // scheduled — tokens keep circulating (without updates) until the driver
-  // notices and pauses.
-  std::atomic<int64_t> updates_cap{0};
-
-  // Owner table asserting the single-ownership invariant behind NOMAD's
-  // lock-freedom and serializability: a token (and hence its h_j row) must
-  // never be held by two workers at once. kUnowned = in a queue / in
-  // flight. The same RowOwnership type arbitrates writer exclusivity in the
-  // serving plane (serve::ServeEngine), where contention is real rather
-  // than a broken invariant.
-  RowOwnership owner(ds.cols);
-
   const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, k);
-  // Token-batch sizing. Fixed mode drains a constant batch per queue lock;
-  // auto mode gives each worker a BatchController that adapts the batch per
-  // hand-off round from its queue depth, pop hit rate, and idle backoffs.
-  // Both modes share the EffectiveMaxBatch hoarding clamp, so `auto` can
-  // never reach a batch that `fixed` could not be configured to.
-  const bool auto_batch =
-      options.token_batch_mode == TokenBatchMode::kAuto;
-  const int fixed_batch =
-      EffectiveMaxBatch(ds.cols, p, options.token_batch_size);
-  const int max_batch =
-      auto_batch ? EffectiveMaxBatch(ds.cols, p, options.max_token_batch)
-                 : fixed_batch;
-  BatchControllerConfig controller_config;
-  controller_config.max_batch = max_batch;
-  // Start auto runs from the fixed default so the two modes begin
-  // identically and only diverge where the signals say they should.
-  controller_config.initial_batch = std::min(fixed_batch, max_batch);
-  // Written by each worker just before it exits (exclusive slots, joined
-  // before the read), so TrainResult can report the adaptation per worker.
-  std::vector<WorkerBatchStats> batch_stats(static_cast<size_t>(p));
-  auto worker_fn = [&](int q) {
-    // NUMA pinning: keep this worker on its node so its w-row partition
-    // (bound there above) and its token queue stay local. No-op when
-    // placement is off.
-    if (numa_place) {
-      PinCurrentThreadToCpus(worker_cpus[static_cast<size_t>(q)]);
-    }
-    Rng rng(options.seed + 7919ULL * static_cast<uint64_t>(q + 1));
-    BatchController controller(controller_config);
-    // The single accumulation path behind both the live scrape and this
-    // run's WorkerBatchStats (built by Finish() as a view over the same
-    // registry cells).
-    obs::WorkerObs wobs = obs::WorkerObs::Create(
-        registry, /*rank=*/-1, q,
-        auto_batch ? controller.batch() : fixed_batch);
-    std::vector<int32_t> tokens(static_cast<size_t>(max_batch));
-    std::vector<int> dests(static_cast<size_t>(max_batch));
-    // Per-destination hand-off buffers: tokens bound for the same queue
-    // leave in one PushBatch (one lock acquisition per destination).
-    std::vector<std::vector<int32_t>> outbound(static_cast<size_t>(p));
-    for (auto& buf : outbound) buf.reserve(static_cast<size_t>(max_batch));
-    int idle_streak = 0;
-    // Hot-path latency histograms. The clock reads are gated on the
-    // registry being live (two steady_clock calls per *round*, not per
-    // token, and none at all under NOMAD_METRICS=off). wait_start spans
-    // from the end of the previous round to the next non-empty pop.
-    using LatencyClock = std::chrono::steady_clock;
-    const bool timed = wobs.enabled();
-    LatencyClock::time_point wait_start =
-        timed ? LatencyClock::now() : LatencyClock::time_point();
-    while (!stop.load(std::memory_order_relaxed)) {
-      gate.CheckIn();
-      // Re-check after a pause: the driver may have taken the final trace
-      // point; no update may happen after it, or the returned factors
-      // would not match the recorded trace.
-      if (stop.load(std::memory_order_relaxed)) break;
-      const int want = auto_batch ? controller.batch() : fixed_batch;
-      const size_t got = queues[static_cast<size_t>(q)]->TryPopBatch(
-          tokens.data(), static_cast<size_t>(want));
-      if (got == 0) {
-        // Empty queue: yield a few times first (a token usually arrives
-        // within a scheduling quantum), then back off exponentially so an
-        // idle worker stops hammering its queue's mutex and the memory bus.
-        if (idle_streak < 4) {
-          std::this_thread::yield();
-        } else {
-          // Sustained starvation: tell the controller once per idle
-          // episode (at the yield→sleep escalation) so the worker
-          // re-enters circulation with a smaller bite. Neither the plain
-          // empty polls nor the later sleeps are fed to the controller —
-          // one scheduling gap is one starvation signal, not hundreds.
-          if (idle_streak == 4) {
-            if (auto_batch) controller.NoteIdleBackoff();
-            wobs.NoteBackoff(auto_batch ? controller.batch() : fixed_batch);
-          }
-          const int shift = std::min(idle_streak - 4, 7);  // 1..128 µs
-          std::this_thread::sleep_for(std::chrono::microseconds(1 << shift));
-        }
-        ++idle_streak;
-        continue;
-      }
-      idle_streak = 0;
-      LatencyClock::time_point work_start;
-      if (timed) {
-        work_start = LatencyClock::now();
-        wobs.ObserveQueueWaitSeconds(
-            std::chrono::duration<double>(work_start - wait_start).count());
-      }
-      if (auto_batch) {
-        const size_t depth = queues[static_cast<size_t>(q)]->SizeEstimate();
-        controller.Observe(static_cast<size_t>(want), got, depth);
-        // Sampling the batch after every controller interaction catches
-        // each SetBatch transition individually — what keeps the registry
-        // view bit-identical to controller.Stats().
-        wobs.ObserveRound(static_cast<size_t>(want), got, depth,
-                          controller.batch());
-      } else {
-        wobs.ObserveRound(
-            static_cast<size_t>(want), got,
-            wobs.enabled() ? queues[static_cast<size_t>(q)]->SizeEstimate()
-                           : 0,
-            fixed_batch);
-      }
-      for (size_t b = 0; b < got; ++b) {
-        const int32_t j = tokens[b];
-        // Ownership invariant behind NOMAD's lock-freedom: token
-        // circulation already guarantees exclusivity, so a failed CAS here
-        // is a broken invariant, not contention.
-        owner.AcquireOrDie(j, q);
-        // At the cap the token hops on unprocessed; the driver will pause
-        // everyone for the trace point before raising the cap.
-        if (total_updates.load(std::memory_order_relaxed) <
-            updates_cap.load(std::memory_order_relaxed)) {
-          int32_t n = 0;
-          const ColumnShards::Entry* entries = shards.ColEntries(q, j, &n);
-          Real* hj = h.Row(j);
-          for (int32_t t = 0; t < n; ++t) {
-            const ColumnShards::Entry& e = entries[t];
-            kernel.Apply(e.value, &counts, e.csc_pos, w.Row(e.row), hj);
-          }
-          if (n > 0) {
-            total_updates.fetch_add(n, std::memory_order_relaxed);
-            wobs.NoteUpdates(n);
-          }
-        }
-        owner.Release(j);
-      }
-      router.PickBatch(q, &rng, probe, static_cast<int>(got), dests.data());
-      for (size_t b = 0; b < got; ++b) {
-        outbound[static_cast<size_t>(dests[b])].push_back(tokens[b]);
-      }
-      for (int d = 0; d < p; ++d) {
-        auto& buf = outbound[static_cast<size_t>(d)];
-        if (buf.empty()) continue;
-        queues[static_cast<size_t>(d)]->PushBatch(buf.data(), buf.size());
-        buf.clear();
-      }
-      wobs.NotePushed(static_cast<int64_t>(got));
-      if (timed) {
-        const LatencyClock::time_point round_end = LatencyClock::now();
-        wobs.ObserveServiceSeconds(
-            std::chrono::duration<double>(round_end - work_start).count() /
-            static_cast<double>(got));
-        wait_start = round_end;
-      }
-    }
-    batch_stats[static_cast<size_t>(q)] =
-        wobs.Finish(auto_batch ? &controller : nullptr, fixed_batch);
-  };
+                                   options.lambda, options.rank);
+  LocalHandOff local;
+  TokenWorkerPool<Real, LocalHandOff> pool(ds, options, /*world=*/1,
+                                           /*rank=*/-1, &w, &h, kernel,
+                                           registry, &local);
 
   // Driver setup: stopping criteria and trace cadence (the update cap must
   // be in place before the workers start).
@@ -347,21 +84,19 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   // splits across them instead of running serially on the driver. Under
   // NUMA placement the pool inherits the workers' node pinning, so each
   // eval shard reads mostly-local factor pages.
-  ThreadPool eval_pool(p, worker_cpus);
+  ThreadPool eval_pool(options.num_workers, pool.worker_cpus());
   double train_seconds = 0.0;  // excludes evaluation pauses
   int64_t next_eval = eval_every;
   const auto cap_for = [max_updates](int64_t eval_at) {
     return max_updates > 0 ? std::min(eval_at, max_updates) : eval_at;
   };
-  updates_cap.store(cap_for(next_eval), std::memory_order_relaxed);
+  pool.SetUpdatesCap(cap_for(next_eval));
 
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(p));
   if (options.metrics_sample_ms > 0) {
     timeline->StartSampler(options.metrics_sample_ms);
   }
   Stopwatch wall;
-  for (int q = 0; q < p; ++q) workers.emplace_back(worker_fn, q);
+  pool.Start();
 
   // Driver pacing: nap up to 100 µs between checks (the old yield()
   // degenerated to a hot spin), but shorten the nap to half the estimated
@@ -373,7 +108,7 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   Stopwatch tick;
   for (;;) {
     {
-      const int64_t done_now = total_updates.load(std::memory_order_relaxed);
+      const int64_t done_now = pool.updates();
       const double dt = tick.ElapsedSeconds();
       if (dt > 20e-6) {
         const double inst =
@@ -396,16 +131,15 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
         std::this_thread::sleep_for(std::chrono::duration<double>(nap));
       }
     }
-    const int64_t done = total_updates.load(std::memory_order_relaxed);
+    const int64_t done = pool.updates();
     const double elapsed = train_seconds + wall.ElapsedSeconds();
     const bool out_of_time =
         options.max_seconds > 0 && elapsed >= options.max_seconds;
     const bool out_of_updates = max_updates > 0 && done >= max_updates;
     if (done >= next_eval || out_of_time || out_of_updates) {
-      gate.Pause();
+      pool.Pause();
       train_seconds += wall.ElapsedSeconds();
-      const int64_t updates_now =
-          total_updates.load(std::memory_order_relaxed);
+      const int64_t updates_now = pool.updates();
       TracePoint pt;
       pt.seconds = train_seconds;
       pt.updates = updates_now;
@@ -416,29 +150,25 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
       result.trace.Add(pt);
       timeline->RecordTrace(pt);
       next_eval = updates_now + eval_every;
-      updates_cap.store(cap_for(next_eval), std::memory_order_relaxed);
-      if (out_of_time || out_of_updates) {
-        stop.store(true, std::memory_order_relaxed);
-        gate.Resume();
-        break;
-      }
+      pool.SetUpdatesCap(cap_for(next_eval));
+      if (out_of_time || out_of_updates) break;
       wall.Restart();
-      gate.Resume();
+      pool.Resume();
       // The pause froze the workers; drop it from the rate estimate.
-      last_done = total_updates.load(std::memory_order_relaxed);
+      last_done = pool.updates();
       tick.Restart();
     }
   }
-  for (auto& t : workers) t.join();
+  pool.Stop();
 
   // Stop the sampler before reading the timeline out (a caller-owned
   // timeline keeps sampling only if the caller restarts it — the run it
   // was pacing is over).
   timeline->StopSampler();
   result.timeline = timeline->Points();
-  result.total_updates = total_updates.load(std::memory_order_relaxed);
+  result.total_updates = pool.updates();
   result.total_seconds = train_seconds;
-  result.worker_batch = std::move(batch_stats);
+  result.worker_batch = pool.batch_stats();
   StoreTrainedFactors(std::move(w), std::move(h), &result);
   return result;
 }

@@ -13,6 +13,10 @@ namespace nomad {
 /// updates over its locally-stored ratings Ω̄_j^{(q)} — touching only its
 /// own w_i rows and the h_j it exclusively owns while holding the token —
 /// then pushes the token to another worker chosen by the routing policy.
+/// The workers are a TokenWorkerPool (nomad/token_worker_pool.h) whose
+/// tokens never leave the process — the same loop every rank of
+/// net::DistNomadSolver runs; this solver adds the driver that pauses the
+/// pool for trace points and evaluates across a ThreadPool.
 ///
 /// Properties (Sec. 1): non-blocking, decentralized, lock-free updates
 /// (queue hand-off aside), fully asynchronous, and serializable — every

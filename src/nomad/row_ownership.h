@@ -14,9 +14,9 @@ namespace nomad {
 ///
 /// The algorithm's serializability argument (paper Sec. 3.2) rests on a
 /// single invariant: a factor row is mutated by at most one thread at a
-/// time. Inside `NomadSolver` the invariant holds by construction (a token
-/// is in exactly one queue or held by exactly one worker), and this table
-/// *asserts* it. The serving plane reuses the same table as an actual
+/// time. Inside `TokenWorkerPool` (the loop of both NOMAD solvers) the
+/// invariant holds by construction (a token is in exactly one queue or
+/// held by exactly one worker), and this table *asserts* it. The serving plane reuses the same table as an actual
 /// arbiter: online ingest appliers `TryAcquire` the user and item rows they
 /// want to update and back off on conflict, which makes concurrent
 /// incremental updates safe next to the lock-free seqlock readers in

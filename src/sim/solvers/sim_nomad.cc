@@ -83,12 +83,11 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
   // EffectiveMaxBatch hoarding clamp, fed from the virtual queues.
   std::vector<BatchController> controllers;
   if (options.worker_batch_auto) {
-    BatchControllerConfig cc;
-    cc.max_batch =
-        EffectiveMaxBatch(ds.cols, num_workers, options.worker_max_batch);
-    cc.initial_batch = std::min(options.worker_batch_size, cc.max_batch);
-    controllers.assign(static_cast<size_t>(num_workers),
-                       BatchController(cc));
+    controllers.assign(
+        static_cast<size_t>(num_workers),
+        BatchController(MakeBatchControllerConfig(
+            ds.cols, num_workers, options.worker_batch_size,
+            options.worker_max_batch)));
   }
   // Per-machine communication state.
   std::vector<double> sender_free(static_cast<size_t>(num_machines), 0.0);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <unordered_set>
 
 #include "linalg/dense_ops.h"
@@ -97,6 +99,34 @@ Result<Model> LoadModel(const std::string& path) {
   if (header.rank <= 0 || header.users < 0 || header.items < 0) {
     std::fclose(f);
     return Status::InvalidArgument("corrupt model header in " + path);
+  }
+  // The header's sizes must fit in the file before anything is allocated
+  // from them: a few corrupt bytes must not turn into a huge allocation.
+  uint64_t factor_rows = 0;
+  uint64_t payload = 0;
+  const bool overflow =
+      __builtin_add_overflow(static_cast<uint64_t>(header.users),
+                             static_cast<uint64_t>(header.items),
+                             &factor_rows) ||
+      __builtin_mul_overflow(factor_rows, static_cast<uint64_t>(header.rank),
+                             &payload) ||
+      __builtin_mul_overflow(payload, uint64_t{sizeof(double)}, &payload);
+  const long header_end = std::ftell(f);
+  const bool sized = std::fseek(f, 0, SEEK_END) == 0;
+  const long file_end = std::ftell(f);
+  if (!sized || header_end < 0 || file_end < header_end ||
+      std::fseek(f, header_end, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IOError("cannot size model file: " + path);
+  }
+  if (overflow || payload > static_cast<uint64_t>(file_end - header_end)) {
+    std::fclose(f);
+    return Status::InvalidArgument(
+        "model header in " + path + " claims " +
+        std::to_string(header.users) + " users and " +
+        std::to_string(header.items) + " items at rank " +
+        std::to_string(header.rank) + ", more than the file's " +
+        std::to_string(file_end - header_end) + " payload bytes hold");
   }
   Model model;
   model.w = FactorMatrix(header.users, header.rank);

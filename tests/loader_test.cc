@@ -1,6 +1,7 @@
 #include "data/loader.h"
 
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +51,32 @@ TEST(ParseRatingsTextTest, MalformedLines) {
   EXPECT_FALSE(ParseRatingsText("0 1 x\n", false).ok());
   // One-based input containing a zero index underflows.
   EXPECT_FALSE(ParseRatingsText("0 1 2\n", true).ok());
+  // Ids past int32 (4294967297 would wrap to 1) and non-finite ratings are
+  // rejected with the offending line's number.
+  const struct {
+    const char* text;
+    bool one_based;
+  } rejected[] = {
+      {"0 0 1\n4294967297 0 1\n", false},
+      {"0 0 1\n0 4294967297 1\n", false},
+      {"0 0 1\n2147483647 0 1\n", false},  // shape would overflow int32
+      {"0 0 1\n0 0 nan\n", false},
+      {"0 0 1\n0 0 inf\n", false},
+      {"0 0 1\n0 0 -inf\n", false},
+      {"0 0 1\n0 0 1e300\n", false},  // finite double, inf as float
+      {"1 1 1\n2147483649 1 1\n", true},
+      {"1 1 1\n-9223372036854775808 1 1\n", true},  // shift would overflow
+  };
+  for (const auto& c : rejected) {
+    const auto parsed = ParseRatingsText(c.text, c.one_based);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.text;
+    EXPECT_NE(parsed.status().ToString().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The largest accepted id still sizes into an int32 shape.
+  EXPECT_TRUE(ParseRatingsText("2147483646 0 1\n", false).ok());
+  EXPECT_TRUE(ParseRatingsText("2147483647 1 1\n", true).ok());
 }
 
 TEST(LoadRatingsFileTest, LoadsAndSizes) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "nomad/nomad_solver.h"
 #include "test_util.h"
 
@@ -92,6 +97,46 @@ TEST(ModelPersistenceTest, RejectsGarbage) {
   std::fclose(f);
   EXPECT_FALSE(LoadModel(path).ok());
   EXPECT_FALSE(LoadModel("/does/not/exist").ok());
+}
+
+// A header whose sizes exceed the file must be rejected before anything is
+// allocated from them: 2^40 users would otherwise abort with bad_alloc.
+TEST(ModelPersistenceTest, RejectsHeaderSizesBeyondTheFile) {
+  struct Header {
+    uint64_t magic;
+    int64_t users;
+    int64_t items;
+    int32_t rank;
+    int32_t reserved;
+  };
+  const auto write_model = [](const std::string& path, const Header& h,
+                              size_t payload_bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&h, sizeof(h), 1, f), 1u);
+    const std::vector<char> zeros(payload_bytes, 0);
+    ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f), zeros.size());
+    std::fclose(f);
+  };
+  const uint64_t magic = 0x4e4f4d4144573101ULL;
+  const std::string path = ::testing::TempDir() + "/huge_header.nomad";
+  const std::vector<Header> headers = {
+      {magic, int64_t{1} << 40, 1, 8, 0},               // 96-byte file
+      {magic, INT64_MAX, INT64_MAX, INT32_MAX, 0},      // sizes overflow
+      {magic, 2, 1, 8, 0},                              // one row short
+  };
+  for (const Header& h : headers) {
+    write_model(path, h, 64);
+    const auto loaded = LoadModel(path);
+    ASSERT_FALSE(loaded.ok()) << h.users;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  write_model(path, Header{magic, 3, 1, 2, 0}, 64);  // exactly 4 rows x 2
+  const auto exact = LoadModel(path);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact.value().users(), 3);
+  EXPECT_EQ(exact.value().items(), 1);
 }
 
 TEST(MaeTest, HandComputed) {
