@@ -43,6 +43,11 @@ Result<Dataset> LoadDatasetFromFlags(const Flags& flags) {
   return Status::InvalidArgument("pass --input <file> or --preset <name>");
 }
 
+std::string TestRmseText(const Dataset& ds, double rmse) {
+  if (ds.test.nnz() == 0) return "test RMSE n/a (empty test set)";
+  return StrFormat("test RMSE %.4f", rmse);
+}
+
 MiniParams GetMiniParams(const std::string& name) {
   // Planted miniature analogue of Table 1. The λ ordering follows the
   // paper (Yahoo's λ is the largest, Hugewiki's the smallest).

@@ -40,6 +40,11 @@ Dataset GetDataset(const std::string& name, double scale);
 /// evaluates dist-trained models with nomad_cli and relies on that.
 Result<Dataset> LoadDatasetFromFlags(const Flags& flags);
 
+/// The RMSE column of the CLIs' trace lines: "test RMSE 0.1234", or
+/// "test RMSE n/a (empty test set)" when `ds` holds no test ratings — an
+/// RMSE over nothing is absent, not a zero.
+std::string TestRmseText(const Dataset& ds, double rmse);
+
 /// Tuned step/regularization parameters per mini dataset.
 MiniParams GetMiniParams(const std::string& name);
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "linalg/cholesky.h"
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "util/thread_pool.h"
 
 namespace nomad {

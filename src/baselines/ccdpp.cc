@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "baselines/ccd_core.h"
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "util/thread_pool.h"
 
 namespace nomad {

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "baselines/block_grid.h"
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -17,10 +17,9 @@ template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
                               const std::string& name) {
   NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.loss);
-  if (!loss.ok()) return loss.status();
+  auto made = MakeUpdateKernel<Real>(options);
+  if (!made.ok()) return made.status();
+  const UpdateKernelT<Real> kernel = std::move(made).value();
 
   TrainResult result;
   result.solver_name = name;
@@ -29,7 +28,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
   const int p = options.num_workers;
-  const int k = options.rank;
   const int cblocks = 2 * p;
 
   const UserPartition row_part = UserPartition::ByRatings(ds.train, p);
@@ -38,8 +36,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
 
   StepCounts counts(ds.train.nnz());
   BoldDriver driver(options.alpha);
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, k);
   ThreadPool pool(p);
   EpochLoopT<Real> loop(ds, options, w, h, &result, &pool);
   int epoch = 0;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "baselines/block_grid.h"
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/rng.h"
 
@@ -112,10 +112,9 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   if (options.fpsgd_grid_factor < 1) {
     return Status::InvalidArgument("fpsgd_grid_factor must be >= 1");
   }
-  auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.loss);
-  if (!loss.ok()) return loss.status();
+  auto made = MakeUpdateKernel<Real>(options);
+  if (!made.ok()) return made.status();
+  const UpdateKernelT<Real> kernel = std::move(made).value();
 
   TrainResult result;
   result.solver_name = name;
@@ -124,7 +123,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
   const int p = options.num_workers;
-  const int k = options.rank;
   const int grid = options.fpsgd_grid_factor * p + 1;
 
   const UserPartition row_part = UserPartition::ByRatings(ds.train, grid);
@@ -132,8 +130,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   const BlockGrid blocks = BlockGrid::Build(ds.train, row_part, col_part);
 
   StepCounts counts(ds.train.nnz());
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, k);
   TaskManager manager(grid, options.seed ^ 0xF9F9F9F9ULL);
   EpochLoopT<Real> loop(ds, options, w, h, &result);
   int epoch = 0;

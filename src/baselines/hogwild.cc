@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/rng.h"
 
@@ -16,10 +16,9 @@ template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
                               const std::string& name) {
   NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.loss);
-  if (!loss.ok()) return loss.status();
+  auto made = MakeUpdateKernel<Real>(options);
+  if (!made.ok()) return made.status();
+  const UpdateKernelT<Real> kernel = std::move(made).value();
 
   TrainResult result;
   result.solver_name = name;
@@ -27,7 +26,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> w;
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
-  const int k = options.rank;
   const int p = options.num_workers;
 
   struct Obs {
@@ -36,12 +34,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
     float value;
   };
   const int64_t nnz = ds.train.nnz();
-  if (nnz == 0) {
-    EpochLoopT<Real> loop(ds, options, w, h, &result);
-    loop.EndEpoch(0);
-    StoreTrainedFactors(std::move(w), std::move(h), &result);
-    return result;
-  }
   std::vector<Obs> obs;
   obs.reserve(static_cast<size_t>(nnz));
   for (int32_t j = 0; j < ds.cols; ++j) {
@@ -55,9 +47,9 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   // counter merely loses an occasional increment, slightly slowing the
   // schedule decay — consistent with Hogwild's benign-race philosophy.
   StepCounts counts(nnz);
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, k);
 
+  // An empty training set never enters the loop (nothing to draw from):
+  // the loop traces the starting factors once instead.
   EpochLoopT<Real> loop(ds, options, w, h, &result);
   while (loop.Continue()) {
     const int64_t per_worker = (nnz + p - 1) / p;

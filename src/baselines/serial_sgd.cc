@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "solver/epoch_loop.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/rng.h"
 
@@ -15,10 +15,9 @@ template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
                               const std::string& name) {
   NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.loss);
-  if (!loss.ok()) return loss.status();
+  auto made = MakeUpdateKernel<Real>(options);
+  if (!made.ok()) return made.status();
+  const UpdateKernelT<Real> kernel = std::move(made).value();
 
   TrainResult result;
   result.solver_name = name;
@@ -26,7 +25,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> w;
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
-  const int k = options.rank;
 
   // Flatten training ratings in CSC order so positions key the step counts.
   struct Obs {
@@ -49,8 +47,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   for (int64_t i = 0; i < nnz; ++i) order[static_cast<size_t>(i)] = i;
 
   StepCounts counts(nnz);
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, k);
   Rng rng(options.seed + 13);
   EpochLoopT<Real> loop(ds, options, w, h, &result);
   while (loop.Continue()) {

@@ -10,25 +10,6 @@
 
 namespace nomad {
 
-namespace {
-
-constexpr uint64_t kBinaryMagic = 0x4e4f4d4144763101ULL;  // "NOMADv1\x01"
-
-struct BinaryHeader {
-  uint64_t magic;
-  int32_t rows;
-  int32_t cols;
-  int64_t nnz;
-};
-
-struct PackedRating {
-  int32_t row;
-  int32_t col;
-  float value;
-};
-
-}  // namespace
-
 Result<std::vector<Rating>> ParseRatingsText(const std::string& content,
                                              bool one_based) {
   std::vector<Rating> out;
@@ -98,52 +79,6 @@ Result<SparseMatrix> LoadRatingsFile(const std::string& path, bool one_based) {
     cols = std::max(cols, r.col + 1);
   }
   return SparseMatrix::Build(rows, cols, std::move(ratings).value());
-}
-
-Status SaveBinary(const SparseMatrix& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  BinaryHeader header{kBinaryMagic, m.rows(), m.cols(), m.nnz()};
-  if (std::fwrite(&header, sizeof(header), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IOError("short write: " + path);
-  }
-  const auto coo = m.ToCoo();
-  for (const Rating& r : coo) {
-    PackedRating p{r.row, r.col, r.value};
-    if (std::fwrite(&p, sizeof(p), 1, f) != 1) {
-      std::fclose(f);
-      return Status::IOError("short write: " + path);
-    }
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
-Result<SparseMatrix> LoadBinary(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  BinaryHeader header{};
-  if (std::fread(&header, sizeof(header), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IOError("short read: " + path);
-  }
-  if (header.magic != kBinaryMagic) {
-    std::fclose(f);
-    return Status::InvalidArgument("bad magic in " + path);
-  }
-  std::vector<Rating> ratings;
-  ratings.reserve(static_cast<size_t>(header.nnz));
-  for (int64_t i = 0; i < header.nnz; ++i) {
-    PackedRating p{};
-    if (std::fread(&p, sizeof(p), 1, f) != 1) {
-      std::fclose(f);
-      return Status::IOError("truncated file: " + path);
-    }
-    ratings.push_back(Rating{p.row, p.col, p.value});
-  }
-  std::fclose(f);
-  return SparseMatrix::Build(header.rows, header.cols, std::move(ratings));
 }
 
 }  // namespace nomad

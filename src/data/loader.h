@@ -20,11 +20,6 @@ Result<std::vector<Rating>> ParseRatingsText(const std::string& content,
 /// Loads a ratings text file. Dimensions are max(row)+1 × max(col)+1.
 Result<SparseMatrix> LoadRatingsFile(const std::string& path, bool one_based);
 
-/// Compact binary format: header (magic, rows, cols, nnz) followed by nnz
-/// packed {int32 row, int32 col, float value} records. Round-trips exactly.
-Status SaveBinary(const SparseMatrix& m, const std::string& path);
-Result<SparseMatrix> LoadBinary(const std::string& path);
-
 }  // namespace nomad
 
 #endif  // NOMAD_DATA_LOADER_H_

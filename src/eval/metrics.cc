@@ -77,37 +77,46 @@ double ParallelWeightedSum(
   return sum;
 }
 
-/// Shared implementation over either storage precision. The per-rating
-/// prediction ⟨w_i, h_j⟩ uses the SIMD dot for the row's own element type
-/// (f32 rows keep their 8-lane kernels), and every sum past that point is
-/// double — so metric traces from f32 and f64 runs differ only by the f32
-/// rows themselves, not by accumulation error.
+/// Squared-error sum over the ratings of rows [begin, end), serial. The
+/// per-rating prediction ⟨w_i, h_j⟩ uses the SIMD dot for the row's own
+/// element type (f32 rows keep their 8-lane kernels), and every sum past
+/// that point is double — so metric traces from f32 and f64 runs differ
+/// only by the f32 rows themselves, not by accumulation error.
+template <typename Real>
+double RowRangeSquaredError(const SparseMatrix& ratings,
+                            const FactorMatrixT<Real>& w,
+                            const FactorMatrixT<Real>& h, int64_t begin,
+                            int64_t end) {
+  NOMAD_CHECK_EQ(w.cols(), h.cols());
+  const int k = w.cols();
+  double sum = 0.0;
+  for (int64_t i = begin; i < end; ++i) {
+    const int32_t row = static_cast<int32_t>(i);
+    const int32_t n = ratings.RowNnz(row);
+    const int32_t* cols = ratings.RowCols(row);
+    const float* vals = ratings.RowVals(row);
+    const Real* wi = w.Row(row);
+    for (int32_t p = 0; p < n; ++p) {
+      const double err = static_cast<double>(vals[p]) -
+                         static_cast<double>(Dot(wi, h.Row(cols[p]), k));
+      sum += err * err;
+    }
+  }
+  return sum;
+}
+
+/// Shared implementation over either storage precision.
 template <typename Real>
 double SquaredErrorT(const SparseMatrix& ratings, const FactorMatrixT<Real>& w,
                      const FactorMatrixT<Real>& h, ThreadPool* pool) {
-  NOMAD_CHECK_EQ(w.cols(), h.cols());
-  const int k = w.cols();
   const auto row_nnz = [&ratings](int64_t i) {
     return static_cast<int64_t>(ratings.RowNnz(static_cast<int32_t>(i)));
   };
   return ParallelWeightedSum(
       pool, ratings.rows(), ratings.nnz(), row_nnz,
       [&](int64_t begin, int64_t end) {
-    double sum = 0.0;
-    for (int64_t i = begin; i < end; ++i) {
-      const int32_t row = static_cast<int32_t>(i);
-      const int32_t n = ratings.RowNnz(row);
-      const int32_t* cols = ratings.RowCols(row);
-      const float* vals = ratings.RowVals(row);
-      const Real* wi = w.Row(row);
-      for (int32_t p = 0; p < n; ++p) {
-        const double err = static_cast<double>(vals[p]) -
-                           static_cast<double>(Dot(wi, h.Row(cols[p]), k));
-        sum += err * err;
-      }
-    }
-    return sum;
-  });
+        return RowRangeSquaredError(ratings, w, h, begin, end);
+      });
 }
 
 template <typename Real>
@@ -155,6 +164,18 @@ double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
 double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
                     const FactorMatrixF& h, ThreadPool* pool) {
   return SquaredErrorT<float>(ratings, w, h, pool);
+}
+
+double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
+                    const FactorMatrix& h, int32_t row_begin,
+                    int32_t row_end) {
+  return RowRangeSquaredError<double>(ratings, w, h, row_begin, row_end);
+}
+
+double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
+                    const FactorMatrixF& h, int32_t row_begin,
+                    int32_t row_end) {
+  return RowRangeSquaredError<float>(ratings, w, h, row_begin, row_end);
 }
 
 double Rmse(const SparseMatrix& ratings, const FactorMatrix& w,

@@ -1,6 +1,8 @@
 #ifndef NOMAD_EVAL_METRICS_H_
 #define NOMAD_EVAL_METRICS_H_
 
+#include <cstdint>
+
 #include "data/sparse_matrix.h"
 #include "linalg/factor_matrix.h"
 
@@ -40,6 +42,15 @@ double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
                     const FactorMatrix& h, ThreadPool* pool = nullptr);
 double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
                     const FactorMatrixF& h, ThreadPool* pool = nullptr);
+
+/// The same sum over the ratings of rows [row_begin, row_end) only, serial:
+/// a distributed rank's partial over the users it owns.
+double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
+                    const FactorMatrix& h, int32_t row_begin,
+                    int32_t row_end);
+double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
+                    const FactorMatrixF& h, int32_t row_begin,
+                    int32_t row_end);
 
 }  // namespace nomad
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,8 +19,7 @@
 #include "net/wire_format.h"
 #include "nomad/token_worker_pool.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
-#include "sched/schedule.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -63,42 +63,42 @@ class RankRun {
         version_(static_cast<size_t>(ds.cols)) {}
 
   Result<TrainResult> Run() {
-    Setup();
-    wall_.Restart();
-    pool_->Start();
-    const Status driver = DriveToCompletion();
-    pool_->Stop();
-    NOMAD_RETURN_IF_ERROR(driver);
-
-    TrainResult result;
-    result.solver_name = "dist_nomad";
-    result.precision = opt_.precision;
-    if (timeline_ != nullptr) {
-      timeline_->StopSampler();
-      result.timeline = timeline_->Points();
+    InitFactorsT<Real>(ds_, opt_, &w_, &h_);
+    result_.solver_name = "dist_nomad";
+    result_.precision = opt_.precision;
+    // Observability handles. Every series carries rank="r" so a loopback
+    // world sharing one process-wide registry keeps the ranks apart.
+    obs::MetricsRegistry* resolved = obs::ResolveRegistry(opt_.metrics);
+    registry_ = resolved->enabled() ? resolved : &fallback_registry_;
+    recorder_.emplace(ds_, opt_, &result_, registry_,
+                      /*caller_timeline=*/rank_ == 0);
+    // A degenerate problem has no tokens to circulate. Every rank holds
+    // the full dataset, so all ranks take this branch consistently and
+    // skip the protocol entirely.
+    if (!recorder_->TraceIfEmpty(w_, h_)) {
+      Setup();
+      wall_.Restart();
+      pool_->Start();
+      const Status driver = DriveToCompletion();
+      pool_->Stop();
+      NOMAD_RETURN_IF_ERROR(driver);
+      recorder_->Finish();
+      result_.total_updates = global_updates_;
+      result_.total_seconds = global_seconds_;
+      result_.worker_batch = pool_->batch_stats();
+      result_.rank_traffic = std::move(rank_traffic_);
+      for (int r = 0; r < world_; ++r) {
+        if (!IsLive(r)) result_.dead_ranks.push_back(r);
+      }
     }
-    result.trace = std::move(trace_);
-    result.total_updates = global_updates_;
-    result.total_seconds = global_seconds_;
-    result.worker_batch = pool_->batch_stats();
-    result.rank_traffic = std::move(rank_traffic_);
-    for (int r = 0; r < world_; ++r) {
-      if (!IsLive(r)) result.dead_ranks.push_back(r);
-    }
-    StoreTrainedFactors(std::move(w_), std::move(h_), &result);
-    return result;
+    StoreTrainedFactors(std::move(w_), std::move(h_), &result_);
+    return std::move(result_);
   }
 
  private:
   // ---- setup ----
 
   void Setup() {
-    InitFactorsT<Real>(ds_, opt_, &w_, &h_);
-
-    // Observability handles. Every series carries rank="r" so a loopback
-    // world sharing one process-wide registry keeps the ranks apart.
-    obs::MetricsRegistry* resolved = obs::ResolveRegistry(opt_.metrics);
-    registry_ = resolved->enabled() ? resolved : &fallback_registry_;
     pool_ = std::make_unique<TokenWorkerPool<Real, RemoteHandOff>>(
         ds_, opt_, world_, rank_, &w_, &h_, kernel_, registry_, &handoff_);
 
@@ -183,12 +183,6 @@ class RankRun {
         registry_->GetGauge("nomad_dist_transport_messages_received", rl);
     pump_latency_ = registry_->GetHistogram(
         "nomad_dist_pump_round_latency_seconds", obs::kLatencyBounds, rl);
-    own_timeline_.Bind(registry_);
-    timeline_ = (rank_ == 0 && opt_.timeline != nullptr) ? opt_.timeline
-                                                         : &own_timeline_;
-    if (opt_.metrics_sample_ms > 0) {
-      timeline_->StartSampler(opt_.metrics_sample_ms);
-    }
   }
 
   // ---- the pool's hand-off policy ----
@@ -865,21 +859,9 @@ class RankRun {
     double sq = 0.0;
     int64_t cnt = 0;
     for (const auto& range : OwnedRowRanges()) {
+      sq += SquaredError(ds_.test, w_, h_, range.first, range.second);
       for (int32_t i = range.first; i < range.second; ++i) {
-        const int32_t nnz = ds_.test.RowNnz(i);
-        const int32_t* cols = ds_.test.RowCols(i);
-        const float* vals = ds_.test.RowVals(i);
-        const Real* wi = w_.Row(i);
-        for (int32_t t = 0; t < nnz; ++t) {
-          const Real* hj = h_.Row(cols[t]);
-          double pred = 0.0;
-          for (int d = 0; d < k_; ++d) {
-            pred += static_cast<double>(wi[d]) * static_cast<double>(hj[d]);
-          }
-          const double err = pred - static_cast<double>(vals[t]);
-          sq += err * err;
-          ++cnt;
-        }
+        cnt += ds_.test.RowNnz(i);
       }
     }
     const TransportStats tstats = transport_->stats();
@@ -957,17 +939,8 @@ class RankRun {
       pt.seconds = train_seconds_;
       pt.updates = updates_total;
       pt.test_rmse = rmse;
-      trace_.Add(pt);
-      timeline_->RecordTrace(pt);
-      const int64_t max_updates =
-          opt_.max_updates > 0
-              ? opt_.max_updates
-              : (opt_.max_epochs > 0
-                     ? opt_.max_epochs * std::max<int64_t>(
-                                             ds_.train.nnz(), 1)
-                     : -1);
-      *stop = (max_updates > 0 && updates_total >= max_updates) ||
-              (opt_.max_seconds > 0 && train_seconds_ >= opt_.max_seconds);
+      recorder_->Record(pt);
+      *stop = recorder_->Done(updates_total, train_seconds_);
       ControlFrame resume;
       resume.kind = ControlKind::kResume;
       resume.rank = 0;
@@ -1025,8 +998,7 @@ class RankRun {
         pt.seconds = f.seconds;
         pt.updates = f.updates;
         pt.test_rmse = f.sq_err;
-        trace_.Add(pt);
-        timeline_->RecordTrace(pt);
+        recorder_->Record(pt);
         global_updates_ = f.updates;
         global_seconds_ = f.seconds;
         updates_per_second_.Set(
@@ -1394,7 +1366,6 @@ class RankRun {
   bool barrier_after_recovery_ = false;
   Stopwatch wall_;
   double train_seconds_ = 0.0;
-  Trace trace_;
   int64_t global_updates_ = 0;
   double global_seconds_ = 0.0;
   std::vector<RankTrafficStats> rank_traffic_;
@@ -1434,14 +1405,15 @@ class RankRun {
   /// one full drain of the transport takes — the dist layer's third
   /// hot-path histogram next to the worker service/wait pair.
   obs::Histogram pump_latency_;
-  /// Run timeline (obs/timeseries.h): rank 0 records the global trace it
+  /// The run's result, filled as it goes, and its recorder
+  /// (solver/run_recorder.h): rank 0 records the global trace it
   /// coordinates; every other rank records the kResume echoes it applies.
   /// A caller-provided timeline (opt_.timeline) is honored on rank 0 only —
   /// in loopback worlds all ranks share one TrainOptions, and the live
   /// /timeseries view should carry the coordinator's rows, not an
   /// interleaving of every rank's.
-  obs::RunTimeline own_timeline_;
-  obs::RunTimeline* timeline_ = nullptr;
+  TrainResult result_;
+  std::optional<RunRecorder> recorder_;
 
   // ---- the workers (declared last: destroyed before what they use) ----
   RemoteHandOff handoff_{this};
@@ -1452,38 +1424,8 @@ template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds,
                               const DistNomadOptions& options,
                               Transport* transport) {
-  auto schedule = MakeSchedule(options.train.schedule, options.train.alpha,
-                               options.train.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.train.loss);
-  if (!loss.ok()) return loss.status();
-
-  // Degenerate problems have no tokens to circulate; evaluate the starting
-  // point locally (every rank holds the full dataset) and skip the
-  // protocol entirely — all ranks take this branch consistently.
-  if (ds.train.nnz() == 0 || ds.cols == 0) {
-    TrainResult result;
-    result.solver_name = "dist_nomad";
-    result.precision = options.train.precision;
-    FactorMatrixT<Real> w;
-    FactorMatrixT<Real> h;
-    InitFactorsT<Real>(ds, options.train, &w, &h);
-    TracePoint pt;
-    pt.test_rmse = Rmse(ds.test, w, h);
-    result.trace.Add(pt);
-    obs::RunTimeline degenerate_timeline(nullptr);
-    obs::RunTimeline* const timeline =
-        options.train.timeline != nullptr && transport->rank() == 0
-            ? options.train.timeline
-            : &degenerate_timeline;
-    timeline->RecordTrace(pt);
-    result.timeline = timeline->Points();
-    StoreTrainedFactors(std::move(w), std::move(h), &result);
-    return result;
-  }
-
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.train.lambda, options.train.rank);
+  auto kernel = MakeUpdateKernel<Real>(options.train);
+  if (!kernel.ok()) return kernel.status();
   // With a wire codec negotiated, the rank sees its transport through a
   // CodecTransport stack — quantize/delta/batch on send, restore on
   // receive — so the protocol code above runs unchanged. The decorator
@@ -1498,8 +1440,8 @@ Result<TrainResult> TrainImpl(const Dataset& ds,
     copts.metrics_rank = transport->rank();
     codec = std::make_unique<CodecTransport>(transport, copts);
   }
-  RankRun<Real> run(ds, options, codec ? codec.get() : transport, kernel,
-                    codec.get());
+  RankRun<Real> run(ds, options, codec ? codec.get() : transport,
+                    kernel.value(), codec.get());
   return run.Run();
 }
 
@@ -1530,20 +1472,11 @@ Result<TrainResult> DistNomadSolver::Train(const Dataset& ds,
     return Status::InvalidArgument(
         "record_objective is not supported by dist_nomad yet");
   }
-  if (options.train.nomadic_rows) {
-    // Footnote 2, same trick as the shared-memory solver: every rank
-    // transposes consistently and swaps the factors back.
-    const Dataset transposed = Transpose(ds);
-    DistNomadOptions inner = options;
-    inner.train.nomadic_rows = false;
-    auto result = Train(transposed, inner, transport);
-    if (!result.ok()) return result.status();
-    TrainResult swapped = std::move(result).value();
-    std::swap(swapped.w, swapped.h);
-    return swapped;
-  }
-  return DispatchPrecision(options.train.precision, [&](auto zero) {
-    return TrainImpl<decltype(zero)>(ds, options, transport);
+  // Every rank transposes consistently under nomadic_rows.
+  return TrainNomadic(ds, options.train.nomadic_rows, [&](const Dataset& d) {
+    return DispatchPrecision(options.train.precision, [&](auto zero) {
+      return TrainImpl<decltype(zero)>(d, options, transport);
+    });
   });
 }
 

@@ -5,10 +5,9 @@
 #include <thread>
 #include <utility>
 
-#include "eval/metrics.h"
 #include "nomad/token_worker_pool.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -24,10 +23,8 @@ namespace {
 template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
                               const std::string& name) {
-  auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);
-  if (!schedule.ok()) return schedule.status();
-  auto loss = ResolveLoss(options.loss);
-  if (!loss.ok()) return loss.status();
+  auto kernel = MakeUpdateKernel<Real>(options);
+  if (!kernel.ok()) return kernel.status();
 
   TrainResult result;
   result.solver_name = name;
@@ -38,47 +35,27 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
 
   // Observability (obs/metrics.h): handles are null-safe no-ops when the
   // resolved registry is disabled (NOMAD_METRICS=off), so the hot path
-  // below never branches on "metrics on?". The run timeline captures
-  // registry deltas at every trace point (and, with metrics_sample_ms, on
-  // a sampler thread between them); a caller-provided one lets the scrape
-  // endpoint serve /timeseries live, a private one still fills
-  // TrainResult::timeline.
+  // below never branches on "metrics on?". The recorder's timeline
+  // captures registry deltas at every trace point (and, with
+  // metrics_sample_ms, on a sampler thread between them).
   obs::MetricsRegistry* const registry = obs::ResolveRegistry(options.metrics);
-  obs::RunTimeline local_timeline(registry);
-  obs::RunTimeline* const timeline =
-      options.timeline != nullptr ? options.timeline : &local_timeline;
-
-  // An empty training set (or no items) can never satisfy an update-count
-  // stopping criterion: the workers would circulate empty tokens forever.
-  // Evaluate once and return.
-  if (ds.train.nnz() == 0 || ds.cols == 0) {
-    TracePoint pt;
-    pt.test_rmse = Rmse(ds.test, w, h);
-    result.trace.Add(pt);
-    timeline->RecordTrace(pt);
-    result.timeline = timeline->Points();
+  RunRecorder recorder(ds, options, &result, registry);
+  if (recorder.TraceIfEmpty(w, h)) {  // no tokens worth circulating
     StoreTrainedFactors(std::move(w), std::move(h), &result);
     return result;
   }
 
-  const UpdateKernelT<Real> kernel(*schedule.value(), loss.value().get(),
-                                   options.lambda, options.rank);
   LocalHandOff local;
   TokenWorkerPool<Real, LocalHandOff> pool(ds, options, /*world=*/1,
-                                           /*rank=*/-1, &w, &h, kernel,
-                                           registry, &local);
+                                           /*rank=*/-1, &w, &h,
+                                           kernel.value(), registry, &local);
 
   // Driver setup: stopping criteria and trace cadence (the update cap must
   // be in place before the workers start).
-  const int64_t epoch_updates = std::max<int64_t>(ds.train.nnz(), 1);
   const int64_t eval_every = options.eval_every_updates > 0
                                  ? options.eval_every_updates
-                                 : epoch_updates;
-  const int64_t max_updates =
-      options.max_updates > 0
-          ? options.max_updates
-          : (options.max_epochs > 0 ? options.max_epochs * epoch_updates
-                                    : -1);
+                                 : ds.train.nnz();
+  const int64_t max_updates = recorder.update_budget();
   // Workers are quiesced during evaluation, so the pool's threads have the
   // machine to themselves; test-set RMSE (and optionally the objective)
   // splits across them instead of running serially on the driver. Under
@@ -92,9 +69,6 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   };
   pool.SetUpdatesCap(cap_for(next_eval));
 
-  if (options.metrics_sample_ms > 0) {
-    timeline->StartSampler(options.metrics_sample_ms);
-  }
   Stopwatch wall;
   pool.Start();
 
@@ -132,26 +106,16 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
       }
     }
     const int64_t done = pool.updates();
-    const double elapsed = train_seconds + wall.ElapsedSeconds();
-    const bool out_of_time =
-        options.max_seconds > 0 && elapsed >= options.max_seconds;
-    const bool out_of_updates = max_updates > 0 && done >= max_updates;
-    if (done >= next_eval || out_of_time || out_of_updates) {
+    const bool stop =
+        recorder.Done(done, train_seconds + wall.ElapsedSeconds());
+    if (done >= next_eval || stop) {
       pool.Pause();
       train_seconds += wall.ElapsedSeconds();
       const int64_t updates_now = pool.updates();
-      TracePoint pt;
-      pt.seconds = train_seconds;
-      pt.updates = updates_now;
-      pt.test_rmse = Rmse(ds.test, w, h, &eval_pool);
-      if (options.record_objective) {
-        pt.objective = Objective(ds.train, w, h, options.lambda, &eval_pool);
-      }
-      result.trace.Add(pt);
-      timeline->RecordTrace(pt);
+      recorder.Trace(w, h, train_seconds, updates_now, &eval_pool);
       next_eval = updates_now + eval_every;
       pool.SetUpdatesCap(cap_for(next_eval));
-      if (out_of_time || out_of_updates) break;
+      if (stop) break;
       wall.Restart();
       pool.Resume();
       // The pause froze the workers; drop it from the rate estimate.
@@ -161,11 +125,7 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   }
   pool.Stop();
 
-  // Stop the sampler before reading the timeline out (a caller-owned
-  // timeline keeps sampling only if the caller restarts it — the run it
-  // was pacing is over).
-  timeline->StopSampler();
-  result.timeline = timeline->Points();
+  recorder.Finish();
   result.total_updates = pool.updates();
   result.total_seconds = train_seconds;
   result.worker_batch = pool.batch_stats();
@@ -178,20 +138,10 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
 Result<TrainResult> NomadSolver::Train(const Dataset& ds,
                                        const TrainOptions& options) {
   NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  if (options.nomadic_rows) {
-    // Footnote 2: circulate user parameters instead — train the transposed
-    // problem and swap the factors back.
-    const Dataset transposed = Transpose(ds);
-    TrainOptions inner = options;
-    inner.nomadic_rows = false;
-    auto result = Train(transposed, inner);
-    if (!result.ok()) return result.status();
-    TrainResult swapped = std::move(result).value();
-    std::swap(swapped.w, swapped.h);
-    return swapped;
-  }
-  return DispatchPrecision(options.precision, [&](auto zero) {
-    return TrainImpl<decltype(zero)>(ds, options, Name());
+  return TrainNomadic(ds, options.nomadic_rows, [&](const Dataset& d) {
+    return DispatchPrecision(options.precision, [&](auto zero) {
+      return TrainImpl<decltype(zero)>(d, options, Name());
+    });
   });
 }
 

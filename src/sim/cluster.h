@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "eval/metrics.h"
 #include "sim/network.h"
+#include "solver/run_recorder.h"
 #include "solver/solver.h"
 
 namespace nomad {
@@ -93,59 +93,29 @@ class SimSolver {
 std::vector<std::string> SimSolverNames();
 Result<std::unique_ptr<SimSolver>> MakeSimSolver(const std::string& name);
 
-/// Trace/stopping bookkeeping for the epoch-trajectory simulators (DSGD,
-/// DSGD++, CCD++, lock-ALS): these algorithms are bulk-synchronous, so
-/// their *parameter trajectory* per epoch is independent of timing; the
+/// The epoch loop of the epoch-trajectory simulators (DSGD, DSGD++,
+/// CCD++, lock-ALS) on virtual time: these algorithms are bulk-synchronous,
+/// so their *parameter trajectory* per epoch is independent of timing; the
 /// simulator runs the real updates and then advances the virtual clock by
-/// the modelled epoch duration.
-class VirtualEpochLoop {
+/// the modelled epoch duration. Recording and stopping are EpochLoopT's
+/// (solver/run_recorder.h); evaluation stays serial and the timeline has no
+/// registry behind it, so a run's trace does not depend on the host.
+class VirtualEpochLoop : public EpochLoopT<double> {
  public:
   VirtualEpochLoop(const Dataset& ds, const SimOptions& options,
                    SimResult* result)
-      : ds_(ds), options_(options), result_(result) {}
-
-  bool Continue() const {
-    const TrainOptions& t = options_.train;
-    if (t.max_epochs > 0 && epochs_ >= t.max_epochs) return false;
-    if (t.max_updates > 0 && result_->train.total_updates >= t.max_updates) {
-      return false;
-    }
-    if (t.max_seconds > 0 && virtual_seconds_ >= t.max_seconds) return false;
-    return true;
-  }
+      : EpochLoopT<double>(ds, options.train, result->train.w,
+                           result->train.h, &result->train,
+                           /*eval_pool=*/nullptr, /*registry=*/nullptr) {}
 
   /// Advances virtual time by `epoch_seconds`, credits `epoch_updates`,
   /// and records a trace point. Returns the training objective when
   /// requested (for bold-driver callers), else 0.
   double EndEpoch(double epoch_seconds, int64_t epoch_updates,
                   bool need_objective = false) {
-    virtual_seconds_ += epoch_seconds;
-    ++epochs_;
-    result_->train.total_updates += epoch_updates;
-    TracePoint pt;
-    pt.seconds = virtual_seconds_;
-    pt.updates = result_->train.total_updates;
-    pt.test_rmse = Rmse(ds_.test, result_->train.w, result_->train.h);
-    double objective = 0.0;
-    if (need_objective || options_.train.record_objective) {
-      objective = Objective(ds_.train, result_->train.w, result_->train.h,
-                            options_.train.lambda);
-      pt.objective = objective;
-    }
-    result_->train.trace.Add(pt);
-    result_->train.total_seconds = virtual_seconds_;
-    return objective;
+    seconds_ += epoch_seconds;
+    return CloseEpoch(epoch_updates, need_objective, /*pool=*/nullptr);
   }
-
-  double virtual_seconds() const { return virtual_seconds_; }
-  int epochs_done() const { return epochs_; }
-
- private:
-  const Dataset& ds_;
-  const SimOptions& options_;
-  SimResult* result_;
-  double virtual_seconds_ = 0.0;
-  int epochs_ = 0;
 };
 
 }  // namespace nomad

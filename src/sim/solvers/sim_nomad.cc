@@ -6,8 +6,8 @@
 
 #include "data/shard.h"
 #include "nomad/batch_controller.h"
-#include "obs/timeseries.h"
 #include "sim/event_queue.h"
+#include "solver/run_recorder.h"
 #include "solver/sgd_kernel.h"
 #include "util/rng.h"
 
@@ -52,18 +52,13 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
 
   SimResult result;
   result.train.solver_name = Name();
-  // The simulator has no registry instrumentation (virtual time makes
-  // wall-clock cells meaningless), but its trace points still enter a
-  // timeline so every TrainResult exposes the same timeline shape; rows
-  // carry empty deltas. An external timeline (options.train.timeline) is
-  // honored so --trace-out works for `simulate` too.
-  obs::RunTimeline local_timeline(nullptr);
-  obs::RunTimeline* const timeline = train.timeline != nullptr
-                                         ? train.timeline
-                                         : &local_timeline;
   InitFactors(ds, train, &result.train.w, &result.train.h);
   FactorMatrix& w = result.train.w;
   FactorMatrix& h = result.train.h;
+  // No registry: virtual time makes wall-clock cells meaningless, so the
+  // timeline rows carry the trace fields only.
+  RunRecorder recorder(ds, train, &result.train, /*registry=*/nullptr);
+  if (recorder.TraceIfEmpty(w, h)) return result;
 
   const UserPartition partition =
       train.partition_by_ratings
@@ -101,12 +96,7 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
   std::vector<uint64_t> outbox_generation(outbox.size(), 0);
 
   int64_t total_updates = 0;
-  const int64_t epoch_updates = std::max<int64_t>(ds.train.nnz(), 1);
-  const int64_t max_updates =
-      train.max_updates > 0
-          ? train.max_updates
-          : (train.max_epochs > 0 ? train.max_epochs * epoch_updates : -1);
-  const double max_seconds = train.max_seconds;
+  const int64_t max_updates = recorder.update_budget();
   bool stopping = false;
 
   const auto machine_of = [cores](int worker) { return worker / cores; };
@@ -236,15 +226,7 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
   // Takes the final trace point when the update budget is exhausted.
   const auto budget_stop = [&](SimTime at) {
     stopping = true;
-    TracePoint pt;
-    pt.seconds = at;
-    pt.updates = total_updates;
-    pt.test_rmse = Rmse(ds.test, w, h);
-    if (train.record_objective) {
-      pt.objective = Objective(ds.train, w, h, train.lambda);
-    }
-    result.train.trace.Add(pt);
-    timeline->RecordTrace(pt);
+    recorder.Trace(w, h, at, total_updates);
   };
 
   try_start = [&](int worker, SimTime now) {
@@ -340,17 +322,6 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     });
   };
 
-  // Degenerate inputs (no items or no ratings) would never reach an
-  // update-count stopping criterion; trace once and return.
-  if (ds.cols == 0 || ds.train.nnz() == 0) {
-    TracePoint pt;
-    pt.test_rmse = Rmse(ds.test, w, h);
-    result.train.trace.Add(pt);
-    timeline->RecordTrace(pt);
-    result.train.timeline = timeline->Points();
-    return result;
-  }
-
   // Initial token scatter (Algorithm 1 lines 7-10).
   for (int32_t j = 0; j < ds.cols; ++j) {
     const int worker =
@@ -363,18 +334,8 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
 
   // Evaluation ticks.
   std::function<void(SimTime)> eval_tick = [&](SimTime at) {
-    TracePoint pt;
-    pt.seconds = at;
-    pt.updates = total_updates;
-    pt.test_rmse = Rmse(ds.test, w, h);
-    if (train.record_objective) {
-      pt.objective = Objective(ds.train, w, h, train.lambda);
-    }
-    result.train.trace.Add(pt);
-    timeline->RecordTrace(pt);
-    const bool done = (max_updates > 0 && total_updates >= max_updates) ||
-                      (max_seconds > 0 && at >= max_seconds);
-    if (done) {
+    recorder.Trace(w, h, at, total_updates);
+    if (recorder.Done(total_updates, at)) {
       stopping = true;
       return;
     }
@@ -387,7 +348,7 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
 
   result.train.total_updates = total_updates;
   result.train.total_seconds = eq.now();
-  result.train.timeline = timeline->Points();
+  recorder.Finish();
   if (options.worker_batch_auto) {
     result.worker_batch.reserve(controllers.size());
     for (int q = 0; q < num_workers; ++q) {

@@ -80,7 +80,10 @@ Status SaveModel(const Model& model, const std::string& path) {
                      model.rank(), 0};
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1 &&
             WriteMatrix(model.w, f) && WriteMatrix(model.h, f);
-  std::fclose(f);
+  // Buffered bytes reach the device only at flush/close; a full or failing
+  // device reports its error there, not at fwrite.
+  ok = std::fflush(f) == 0 && ok;
+  ok = std::fclose(f) == 0 && ok;
   return ok ? Status::OK() : Status::IOError("short write: " + path);
 }
 

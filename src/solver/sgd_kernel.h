@@ -2,11 +2,14 @@
 #define NOMAD_SOLVER_SGD_KERNEL_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/dense_ops.h"
 #include "sched/schedule.h"
 #include "solver/loss.h"
+#include "solver/solver.h"
 
 namespace nomad {
 
@@ -45,23 +48,29 @@ inline double ScheduledSgdUpdate(double rating, const StepSchedule& schedule,
 }
 
 /// Bundles schedule + loss + λ into the per-rating update the SGD-family
-/// solvers share (nomad, serial_sgd, hogwild, dsgd, dsgd++, fpsgd**),
-/// templated on the factor-row storage precision. A null loss selects the
-/// specialized squared-loss kernel (the paper's setting and the SIMD fast
-/// path, see simd_ops.h); any other Loss goes through the general gradient
-/// form of Sec. 2. Rating/step/λ arrive in double from the schedule and
-/// are rounded once per update for float rows — the per-element arithmetic
-/// then runs entirely in Real.
+/// solvers share (nomad, dist_nomad, serial_sgd, hogwild, dsgd, dsgd++,
+/// fpsgd**), templated on the factor-row storage precision. Built by
+/// MakeUpdateKernel, and owns the schedule and loss it resolved. A null
+/// loss selects the specialized squared-loss kernel (the paper's setting
+/// and the SIMD fast path, see simd_ops.h); any other Loss goes through the
+/// general gradient form of Sec. 2. Rating/step/λ arrive in double from the
+/// schedule and are rounded once per update for float rows — the
+/// per-element arithmetic then runs entirely in Real.
 template <typename Real>
 class UpdateKernelT {
  public:
-  UpdateKernelT(const StepSchedule& schedule, const Loss* loss, double lambda,
-                int k)
-      : schedule_(schedule), loss_(loss), lambda_(lambda), k_(k) {}
+  /// An empty kernel (placeholder for Result); Apply needs a made one.
+  UpdateKernelT() = default;
+  UpdateKernelT(std::unique_ptr<StepSchedule> schedule,
+                std::unique_ptr<Loss> loss, double lambda, int k)
+      : schedule_(std::move(schedule)),
+        loss_(std::move(loss)),
+        lambda_(lambda),
+        k_(k) {}
 
   void Apply(double rating, StepCounts* counts, int64_t pos, Real* w,
              Real* h) const {
-    ApplyWithStep(rating, schedule_.Step(counts->NextCount(pos)), w, h);
+    ApplyWithStep(rating, schedule_->Step(counts->NextCount(pos)), w, h);
   }
 
   /// Same update with a caller-chosen step size — the bold-driver path of
@@ -78,19 +87,19 @@ class UpdateKernelT {
   }
 
  private:
-  const StepSchedule& schedule_;
-  const Loss* loss_;  // null = squared fast path
-  double lambda_;
-  int k_;
+  std::unique_ptr<StepSchedule> schedule_;
+  std::unique_ptr<Loss> loss_;  // null = squared fast path
+  double lambda_ = 0.0;
+  int k_ = 0;
 };
 
-using UpdateKernel = UpdateKernelT<double>;
-using UpdateKernelF = UpdateKernelT<float>;
-
-/// Resolves TrainOptions-style loss selection: returns null (fast squared
-/// path) for "squared"/"", a Loss instance otherwise, or an error status
-/// for unknown names.
-Result<std::unique_ptr<Loss>> ResolveLoss(const std::string& name);
+/// Resolves `options.schedule`/`alpha`/`beta` (MakeSchedule) and
+/// `options.loss` ("squared"/"" = the fast path, else MakeLoss) into the
+/// kernel at `options.lambda` and `options.rank`; InvalidArgument or
+/// NotFound for unknown names. The one place an SGD-family trainer gets
+/// its update rule from.
+template <typename Real>
+Result<UpdateKernelT<Real>> MakeUpdateKernel(const TrainOptions& options);
 
 }  // namespace nomad
 

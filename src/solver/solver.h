@@ -279,6 +279,20 @@ class Solver {
                                     const TrainOptions& options) = 0;
 };
 
+/// Runs `train(ds)`, or — under Footnote 2 (TrainOptions::nomadic_rows) —
+/// `train` on the transposed problem with W and H swapped back, so the user
+/// rows circulate as the tokens. Shared by both NOMAD solvers.
+template <typename TrainFn>
+Result<TrainResult> TrainNomadic(const Dataset& ds, bool nomadic_rows,
+                                 TrainFn&& train) {
+  if (!nomadic_rows) return train(ds);
+  auto result = train(Transpose(ds));
+  if (!result.ok()) return result.status();
+  TrainResult swapped = std::move(result).value();
+  std::swap(swapped.w, swapped.h);
+  return swapped;
+}
+
 /// Validates option fields common to all solvers.
 Status ValidateCommonOptions(const TrainOptions& options);
 

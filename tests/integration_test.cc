@@ -2,6 +2,8 @@
 // generation -> persistence -> training -> evaluation, plus the qualitative
 // cross-solver orderings the paper's figures rest on.
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "data/loader.h"
@@ -14,12 +16,20 @@ namespace nomad {
 namespace {
 
 TEST(IntegrationTest, GenerateSaveLoadTrainPipeline) {
-  // Generate, persist to the binary format, reload, re-split, train.
+  // Generate, persist as a ratings text file, reload, re-split, train.
   const Dataset original = MakeTestDataset(200, 40, 4000, 71);
-  const std::string path = ::testing::TempDir() + "/pipeline.bin";
-  ASSERT_TRUE(SaveBinary(original.train, path).ok());
-  auto reloaded = LoadBinary(path);
-  ASSERT_TRUE(reloaded.ok());
+  const std::string path = ::testing::TempDir() + "/pipeline.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (const Rating& r : original.train.ToCoo()) {
+      std::fprintf(f, "%d %d %.9g\n", r.row, r.col, r.value);
+    }
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  auto reloaded = LoadRatingsFile(path, /*one_based=*/false);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().ToCoo(), original.train.ToCoo());  // %.9g is exact
   auto ds = SplitTrainTest(reloaded.value(), 0.1, 99, "reloaded");
   ASSERT_TRUE(ds.ok());
   auto solver = MakeSolver("nomad").value();

@@ -98,44 +98,5 @@ TEST(LoadRatingsFileTest, MissingFileIsIOError) {
   EXPECT_EQ(m.status().code(), StatusCode::kIOError);
 }
 
-TEST(BinaryFormatTest, RoundTripsExactly) {
-  auto m = SparseMatrix::Build(
-               4, 3, {{0, 0, 1.25f}, {1, 2, -3.5f}, {3, 1, 0.0f}})
-               .value();
-  const std::string path = ::testing::TempDir() + "/m.bin";
-  ASSERT_TRUE(SaveBinary(m, path).ok());
-  auto back = LoadBinary(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().rows(), 4);
-  EXPECT_EQ(back.value().cols(), 3);
-  EXPECT_EQ(back.value().ToCoo(), m.ToCoo());
-}
-
-TEST(BinaryFormatTest, RejectsBadMagic) {
-  const std::string path = ::testing::TempDir() + "/bad.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a nomad binary file, padded to header size.....";
-  }
-  auto back = LoadBinary(path);
-  ASSERT_FALSE(back.ok());
-  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BinaryFormatTest, RejectsTruncated) {
-  auto m = SparseMatrix::Build(2, 2, {{0, 0, 1.0f}, {1, 1, 2.0f}}).value();
-  const std::string path = ::testing::TempDir() + "/trunc.bin";
-  ASSERT_TRUE(SaveBinary(m, path).ok());
-  // Chop the last record.
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(), static_cast<long>(content.size() - 6));
-  out.close();
-  EXPECT_FALSE(LoadBinary(path).ok());
-}
-
 }  // namespace
 }  // namespace nomad

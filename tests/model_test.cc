@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -97,6 +99,18 @@ TEST(ModelPersistenceTest, RejectsGarbage) {
   std::fclose(f);
   EXPECT_FALSE(LoadModel(path).ok());
   EXPECT_FALSE(LoadModel("/does/not/exist").ok());
+}
+
+// A write that never reaches the device must not report success: on
+// /dev/full every byte stays in the stdio buffer until the flush fails.
+TEST(ModelPersistenceTest, ReportsAWriteTheDeviceRefused) {
+  struct stat st {};
+  if (stat("/dev/full", &st) != 0 || !S_ISCHR(st.st_mode)) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  const Status s = SaveModel(SmallModel(), "/dev/full");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
 // A header whose sizes exceed the file must be rejected before anything is

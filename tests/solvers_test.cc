@@ -152,5 +152,28 @@ TEST(HogwildTest, MultiThreadedMatchesQuality) {
   EXPECT_LT(result.value().trace.FinalRmse(), 0.5);
 }
 
+// One recording path: each registry solver's trace is the kTrace rows of
+// its timeline, and a caller's timeline is closed when Train returns.
+class SolverRecordingTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SolverRecordingTest, TraceIsTheTimelinesTraceRows) {
+  const Dataset ds = MakeTestDataset(200, 40, 3000, 13);
+  obs::MetricsRegistry reg;
+  obs::RunTimeline timeline(&reg);
+  TrainOptions options = FastTrainOptions(/*epochs=*/3, /*workers=*/2);
+  options.metrics = &reg;
+  options.timeline = &timeline;
+  options.metrics_sample_ms = 1;
+  options.record_objective = true;
+  auto result = MakeSolver(GetParam()).value()->Train(ds, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectTraceRowsAreTheTrace(result.value(), GetParam());
+  EXPECT_GT(result.value().trace.points().back().objective, 0.0);
+  ExpectCallerTimelineClosed(result.value(), timeline, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverRecordingTest,
+                         ::testing::ValuesIn(SolverNames()));
+
 }  // namespace
 }  // namespace nomad

@@ -1,8 +1,16 @@
 #ifndef NOMAD_TESTS_TEST_UTIL_H_
 #define NOMAD_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/timeseries.h"
 #include "solver/solver.h"
 #include "util/logging.h"
 
@@ -74,6 +82,36 @@ inline double InitialRmse(const Dataset& ds, const TrainOptions& options) {
   FactorMatrix h;
   InitFactors(ds, options, &w, &h);
   return Rmse(ds.test, w, h);
+}
+
+/// The kTrace rows of the result's timeline, in order, are its trace, field
+/// by field.
+inline void ExpectTraceRowsAreTheTrace(const TrainResult& r,
+                                       const std::string& who) {
+  std::vector<obs::TimelinePoint> rows;
+  for (const obs::TimelinePoint& row : r.timeline) {
+    if (row.kind == obs::TimelineKind::kTrace) rows.push_back(row);
+  }
+  const std::vector<TracePoint>& points = r.trace.points();
+  ASSERT_FALSE(points.empty()) << who;
+  ASSERT_EQ(rows.size(), points.size()) << who;
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(rows[i].seconds, points[i].seconds) << who << " row " << i;
+    EXPECT_EQ(rows[i].updates, points[i].updates) << who << " row " << i;
+    EXPECT_EQ(rows[i].test_rmse, points[i].test_rmse) << who << " row " << i;
+    EXPECT_EQ(rows[i].objective, points[i].objective) << who << " row " << i;
+  }
+}
+
+/// The caller's timeline holds exactly what the result reports, and nothing
+/// (no late sampler row) lands in it once Train has returned.
+inline void ExpectCallerTimelineClosed(const TrainResult& r,
+                                       const obs::RunTimeline& timeline,
+                                       const std::string& who) {
+  const size_t rows = timeline.size();
+  EXPECT_EQ(r.timeline.size(), rows) << who;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(timeline.size(), rows) << who << ": rows added after Train";
 }
 
 }  // namespace nomad

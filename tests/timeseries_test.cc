@@ -14,6 +14,9 @@
 #include "nomad/nomad_solver.h"
 #include "obs/metrics.h"
 #include "obs/solver_metrics.h"
+#include "sim/cluster.h"
+#include "solver/registry.h"
+#include "solver/run_recorder.h"
 
 #include "test_util.h"
 
@@ -302,6 +305,134 @@ TEST(TimelineSolverTest, DistTimelineAndPumpLatency) {
     }
   }
   EXPECT_GT(pump_count, 0);
+}
+
+// ---- One recording path (the registry solvers' case is in solvers_test,
+// which stays out of the TSan job: hogwild races by design) ----
+
+TEST(RecordingTest, SimSolversTraceIsTheTimelinesTraceRows) {
+  const Dataset ds = MakeTestDataset(200, 40, 3000, 13);
+  for (const std::string& name : SimSolverNames()) {
+    RunTimeline timeline(nullptr);  // as `nomad_cli simulate` passes it
+    SimOptions options;
+    options.train = FastTrainOptions(/*epochs=*/3);
+    options.train.timeline = &timeline;
+    options.train.record_objective = true;
+    options.cluster.machines = 2;
+    options.eval_interval = 1e-4;
+    auto result = MakeSimSolver(name).value()->Train(ds, options);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    ExpectTraceRowsAreTheTrace(result.value().train, name);
+    ExpectCallerTimelineClosed(result.value().train, timeline, name);
+  }
+}
+
+TEST(RecordingTest, DistRanksTraceIsTheirTimelinesTraceRows) {
+  const Dataset ds = MakeTestDataset(200, 40, 3000, 13);
+  MetricsRegistry reg;
+  RunTimeline timeline(&reg);
+  net::DistNomadOptions options;
+  options.train = FastTrainOptions(/*epochs=*/3, /*workers=*/2);
+  options.train.metrics = &reg;
+  options.train.timeline = &timeline;  // honored on rank 0 only
+  options.train.metrics_sample_ms = 1;
+  auto results = net::TrainLoopbackWorld(ds, options, /*world=*/2);
+  ASSERT_EQ(results.size(), 2u);
+  for (size_t r = 0; r < results.size(); ++r) {
+    ASSERT_TRUE(results[r].ok()) << results[r].status().ToString();
+    ExpectTraceRowsAreTheTrace(results[r].value(),
+                               "dist rank " + std::to_string(r));
+  }
+  ExpectCallerTimelineClosed(results[0].value(), timeline, "dist rank 0");
+}
+
+// ---- RunRecorder: update budget, stopping, empty input ----
+
+TEST(RunRecorderTest, UpdateBudgetComesFromMaxUpdatesElseEpochs) {
+  const Dataset ds = MakeTestDataset(100, 20, 1000, 5);
+  const int64_t nnz = ds.train.nnz();
+  TrainResult result;
+  TrainOptions options;
+  options.max_epochs = 3;
+  EXPECT_EQ(RunRecorder(ds, options, &result, nullptr).update_budget(),
+            3 * nnz);
+  options.max_updates = 77;  // wins over the epochs
+  EXPECT_EQ(RunRecorder(ds, options, &result, nullptr).update_budget(), 77);
+  options.max_updates = -1;
+  options.max_epochs = -1;
+  EXPECT_EQ(RunRecorder(ds, options, &result, nullptr).update_budget(), -1);
+}
+
+TEST(RunRecorderTest, TokenAndEpochDriversStopOnTheirCriteria) {
+  const Dataset ds = MakeTestDataset(100, 20, 1000, 5);
+  const int64_t nnz = ds.train.nnz();
+  TrainResult result;
+  TrainOptions options;
+  options.max_epochs = 2;
+  options.max_seconds = 5.0;
+  const RunRecorder recorder(ds, options, &result, nullptr);
+  // Token drivers: the update budget or the clock.
+  EXPECT_FALSE(recorder.Done(2 * nnz - 1, 1.0));
+  EXPECT_TRUE(recorder.Done(2 * nnz, 1.0));
+  EXPECT_TRUE(recorder.Done(0, 5.0));
+  // Epoch drivers count epochs: a CCD++ pass does far more than nnz
+  // updates and is still one epoch.
+  EXPECT_FALSE(recorder.Done(100 * nnz, 1.0, /*epochs=*/1));
+  EXPECT_TRUE(recorder.Done(0, 1.0, /*epochs=*/2));
+  EXPECT_TRUE(recorder.Done(0, 5.0, /*epochs=*/0));
+  options.max_updates = 10;
+  const RunRecorder capped(ds, options, &result, nullptr);
+  EXPECT_TRUE(capped.Done(10, 1.0, /*epochs=*/0));
+}
+
+TEST(RunRecorderTest, EmptyInputTracesTheStartingFactorsOnce) {
+  Dataset ds = MakeTestDataset(100, 20, 1000, 5);
+  ds.train = SparseMatrix::Build(ds.rows, ds.cols, {}).value();
+  TrainOptions options;
+  options.rank = 4;
+  FactorMatrix w;
+  FactorMatrix h;
+  InitFactors(ds, options, &w, &h);
+  TrainResult result;
+  RunRecorder recorder(ds, options, &result, nullptr);
+  ASSERT_TRUE(recorder.empty_problem());
+  ASSERT_TRUE(recorder.TraceIfEmpty(w, h));
+  ASSERT_EQ(result.trace.size(), 1u);
+  EXPECT_EQ(result.trace.points()[0].updates, 0);
+  EXPECT_EQ(result.trace.points()[0].seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.trace.FinalRmse(), Rmse(ds.test, w, h));
+  ASSERT_EQ(result.timeline.size(), 1u);  // finished: copied out once
+
+  const Dataset full = MakeTestDataset(100, 20, 1000, 5);
+  TrainResult untouched;
+  RunRecorder busy(full, options, &untouched, nullptr);
+  EXPECT_FALSE(busy.TraceIfEmpty(w, h));
+  EXPECT_TRUE(untouched.trace.empty());
+}
+
+// Every trainer reports an empty problem the same way: one trace point of
+// the starting factors, no updates — even with no epoch budget, where a
+// loop waiting for an update budget would spin forever.
+TEST(RunRecorderTest, EveryTrainerTracesAnEmptyProblemOnce) {
+  Dataset ds = MakeTestDataset(100, 20, 1000, 5);
+  ds.train = SparseMatrix::Build(ds.rows, ds.cols, {}).value();
+  TrainOptions options = FastTrainOptions(/*epochs=*/-1, /*workers=*/2);
+  options.max_updates = 500;
+  for (const std::string& name : SolverNames()) {
+    auto result = MakeSolver(name).value()->Train(ds, options);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    ASSERT_EQ(result.value().trace.size(), 1u) << name;
+    EXPECT_EQ(result.value().trace.points()[0].updates, 0) << name;
+    EXPECT_EQ(result.value().timeline.size(), 1u) << name;
+  }
+  for (const std::string& name : SimSolverNames()) {
+    SimOptions sim;
+    sim.train = options;
+    auto result = MakeSimSolver(name).value()->Train(ds, sim);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    ASSERT_EQ(result.value().train.trace.size(), 1u) << name;
+    EXPECT_EQ(result.value().train.timeline.size(), 1u) << name;
+  }
 }
 
 }  // namespace

@@ -76,10 +76,7 @@ struct Fixture {
   explicit Fixture(int workers)
       : ds(MakeTestDataset(/*rows=*/400, /*cols=*/120, /*nnz=*/9000)),
         options(FastTrainOptions(/*epochs=*/1, workers)),
-        schedule(MakeSchedule(options.schedule, options.alpha, options.beta)
-                     .value()),
-        loss(ResolveLoss(options.loss).value()),
-        kernel(*schedule, loss.get(), options.lambda, options.rank) {
+        kernel(MakeUpdateKernel<double>(options).value()) {
     InitFactorsT<double>(ds, options, &w, &h);
   }
 
@@ -94,8 +91,6 @@ struct Fixture {
 
   Dataset ds;
   TrainOptions options;
-  std::unique_ptr<StepSchedule> schedule;
-  std::unique_ptr<Loss> loss;
   UpdateKernelT<double> kernel;
   FactorMatrix w;
   FactorMatrix h;

@@ -123,11 +123,12 @@ Result<DistNomadOptions> OptionsFromFlags(const Flags& flags) {
   return o;
 }
 
-void PrintResult(const TrainResult& r, int rank) {
+void PrintResult(const Dataset& ds, const TrainResult& r, int rank) {
   if (rank != 0) return;  // one report per job; rank 0 has the global view
   for (const TracePoint& p : r.trace.points()) {
-    std::printf("  %.2fs  %12lld updates  test RMSE %.4f\n", p.seconds,
-                static_cast<long long>(p.updates), p.test_rmse);
+    std::printf("  %.2fs  %12lld updates  %s\n", p.seconds,
+                static_cast<long long>(p.updates),
+                bench::TestRmseText(ds, p.test_rmse).c_str());
   }
 }
 
@@ -252,7 +253,7 @@ int RunLoopback(const Flags& flags, const Dataset& ds,
   for (int r : results[0].value().dead_ranks) {
     std::printf("rank %d was declared dead and recovered from\n", r);
   }
-  PrintResult(results[0].value(), 0);
+  PrintResult(ds, results[0].value(), 0);
   PrintCodecSummary(results[0].value(), options.wire_codec);
   return FinishRankZero(flags, std::move(results[0]).value());
 }
@@ -315,7 +316,7 @@ int RunTcp(const Flags& flags, const Dataset& ds,
   for (int r : result.value().dead_ranks) {
     std::printf("rank %d was declared dead and recovered from\n", r);
   }
-  PrintResult(result.value(), rank);
+  PrintResult(ds, result.value(), rank);
   if (rank == 0) PrintCodecSummary(result.value(), options.wire_codec);
   const Status closed = transport->Close();
   if (!closed.ok()) return Fail(closed.ToString());

@@ -171,8 +171,9 @@ int CmdTrain(const Flags& flags) {
   auto result = solver.value()->Train(ds.value(), options.value());
   if (!result.ok()) return Fail(result.status().ToString());
   for (const TracePoint& p : result.value().trace.points()) {
-    std::printf("  %.2fs  %12lld updates  test RMSE %.4f\n", p.seconds,
-                static_cast<long long>(p.updates), p.test_rmse);
+    std::printf("  %.2fs  %12lld updates  %s\n", p.seconds,
+                static_cast<long long>(p.updates),
+                bench::TestRmseText(ds.value(), p.test_rmse).c_str());
   }
   if (options.value().token_batch_mode == TokenBatchMode::kAuto) {
     for (const WorkerBatchStats& s : result.value().worker_batch) {
@@ -212,9 +213,13 @@ int CmdEvaluate(const Flags& flags) {
   if (m.users() < ds.value().rows || m.items() < ds.value().cols) {
     return Fail("model is smaller than the dataset's index space");
   }
-  std::printf("test  RMSE %.4f   MAE %.4f   sign-accuracy %.4f\n",
-              Rmse(ds.value().test, m.w, m.h), Mae(ds.value().test, m),
-              SignAccuracy(ds.value().test, m));
+  if (ds.value().test.nnz() == 0) {
+    std::printf("test  RMSE n/a (empty test set)\n");
+  } else {
+    std::printf("test  RMSE %.4f   MAE %.4f   sign-accuracy %.4f\n",
+                Rmse(ds.value().test, m.w, m.h), Mae(ds.value().test, m),
+                SignAccuracy(ds.value().test, m));
+  }
   std::printf("train RMSE %.4f\n", Rmse(ds.value().train, m.w, m.h));
   return 0;
 }
@@ -266,8 +271,9 @@ int CmdSimulate(const Flags& flags) {
   std::printf("%s on %s, %d machines (%s network):\n", solver_name.c_str(),
               ds.name.c_str(), machines, commodity ? "commodity" : "hpc");
   for (const TracePoint& p : r.train.trace.points()) {
-    std::printf("  vt=%.5fs  %12lld updates  test RMSE %.4f\n", p.seconds,
-                static_cast<long long>(p.updates), p.test_rmse);
+    std::printf("  vt=%.5fs  %12lld updates  %s\n", p.seconds,
+                static_cast<long long>(p.updates),
+                bench::TestRmseText(ds, p.test_rmse).c_str());
   }
   std::printf("network: %lld messages, %s\n",
               static_cast<long long>(r.messages),
