@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -466,27 +468,96 @@ TEST(DistNomadFaultTest, KilledRankWithDeltaCodecRecoversCleanly) {
   EXPECT_NEAR(faulted_rmse, clean_rmse, 2e-3);
 }
 
-// Death at the nastiest protocol point: rank 1 dies right after sending
-// its first kTraceSync — inside a barrier, between kBarrierEnter and
-// kResume, with rank 0 waiting on its held-token report. Recovery must
-// abort the barrier and continue with the survivors.
-TEST(DistNomadFaultTest, DeathDuringTraceBarrierIsRecovered) {
-  const Dataset ds = MakeItemRichDataset();
-  FaultPlan plan;
-  plan.target_rank = 1;
-  plan.kill_on_kind = static_cast<int>(ControlKind::kTraceSync);
-  plan.kill_on_kind_count = 1;
-  auto results = RunFaultyWorld(ds, DistOptions(/*epochs=*/10), 3, plan);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[1].ok());
-  for (int r : {0, 2}) {
-    ASSERT_TRUE(results[static_cast<size_t>(r)].ok())
-        << "rank " << r << ": "
-        << results[static_cast<size_t>(r)].status().ToString();
-    EXPECT_EQ(results[static_cast<size_t>(r)].value().dead_ranks,
-              std::vector<int>{1});
+/// Asserts the outcome every kill-point case shares: each victim fails,
+/// every survivor finishes with exactly `dead` latched, and all survivors
+/// end on the same final RMSE (the trace is rank 0's, echoed by kResume).
+void ExpectRecoveredWorld(const std::vector<Result<TrainResult>>& results,
+                          const std::vector<int>& dead) {
+  double rmse = -1.0;
+  for (int r = 0; r < static_cast<int>(results.size()); ++r) {
+    const Result<TrainResult>& res = results[static_cast<size_t>(r)];
+    if (std::find(dead.begin(), dead.end(), r) != dead.end()) {
+      EXPECT_FALSE(res.ok()) << "victim rank " << r << " survived";
+      continue;
+    }
+    ASSERT_TRUE(res.ok()) << "rank " << r << ": " << res.status().ToString();
+    EXPECT_EQ(res.value().dead_ranks, dead) << "rank " << r;
+    const double final_rmse = res.value().trace.FinalRmse();
+    if (rmse < 0) rmse = final_rmse;
+    EXPECT_EQ(final_rmse, rmse) << "rank " << r << " ended on another trace";
   }
-  EXPECT_LT(results[0].value().trace.FinalRmse(), 0.6);
+  EXPECT_LT(rmse, 0.6);
+}
+
+/// One kill point of the sweep: the victim rank dies right after sending
+/// the occurrence-th control frame of a kind.
+struct KillPoint {
+  int victim;
+  ControlKind kind;
+  int occurrence;
+};
+
+std::string KillPointName(const testing::TestParamInfo<KillPoint>& info) {
+  static const char* const kNames[] = {
+      "", "BarrierRequest", "BarrierEnter", "TraceSync", "EvalStart",
+      "HRowDone", "PartialEval"};
+  const KillPoint& k = info.param;
+  return "Rank" + std::to_string(k.victim) + "After" +
+         kNames[static_cast<int>(k.kind)] + std::to_string(k.occurrence);
+}
+
+class DistNomadKillPointTest : public testing::TestWithParam<KillPoint> {};
+
+// Death at every barrier-protocol point a non-zero rank sends from: the
+// request, the held-token report (between kBarrierEnter and kEvalStart),
+// the h-row exchange and the partial evaluation — at the first and the
+// second barrier. Whatever phase the death interrupts, recovery must
+// unwind it and the survivors must finish on one trace.
+TEST_P(DistNomadKillPointTest, DeathIsRecovered) {
+  const KillPoint& k = GetParam();
+  FaultPlan plan;
+  plan.target_rank = k.victim;
+  plan.kill_on_kind = static_cast<int>(k.kind);
+  plan.kill_on_kind_count = k.occurrence;
+  auto results = RunFaultyWorld(MakeItemRichDataset(),
+                                DistOptions(/*epochs=*/10), 3, plan);
+  ASSERT_EQ(results.size(), 3u);
+  ExpectRecoveredWorld(results, {k.victim});
+}
+
+std::vector<KillPoint> KillPointSweep() {
+  std::vector<KillPoint> points;
+  for (int victim : {1, 2}) {
+    for (ControlKind kind :
+         {ControlKind::kBarrierRequest, ControlKind::kTraceSync,
+          ControlKind::kHRowDone, ControlKind::kPartialEval}) {
+      for (int occurrence : {1, 2}) points.push_back({victim, kind, occurrence});
+    }
+  }
+  return points;
+}
+
+INSTANTIATE_TEST_SUITE_P(ControlKindSweep, DistNomadKillPointTest,
+                         testing::ValuesIn(KillPointSweep()), KillPointName);
+
+// A death inside the recovery of another: rank 1 dies mid-barrier after
+// its first kTraceSync, and rank 2 dies right after its recovery flush
+// marker. The first recovery attempt must unwind and restart with both
+// ranks dead.
+TEST(DistNomadFaultTest, DeathDuringRecoveryRestartsIt) {
+  auto fabric = MakeLoopbackFabric(4, TestHeartbeat());
+  FaultPlan first;
+  first.target_rank = 1;
+  first.kill_on_kind = static_cast<int>(ControlKind::kTraceSync);
+  ApplyFaultPlan(&fabric, first);
+  FaultPlan second;
+  second.target_rank = 2;
+  second.kill_on_kind = static_cast<int>(ControlKind::kLeaseSync);
+  ApplyFaultPlan(&fabric, second);
+  auto results =
+      TrainWorld(MakeItemRichDataset(), DistOptions(/*epochs=*/10), &fabric);
+  ASSERT_EQ(results.size(), 4u);
+  ExpectRecoveredWorld(results, {1, 2});
 }
 
 // Transient faults below the death threshold: 5% of every rank's sends
