@@ -38,6 +38,12 @@ namespace {
 /// makes receivers accept the reset unconditionally anyway).
 constexpr uint32_t kRegrantVersionBump = 1u << 20;
 
+/// How many times a failed (Unavailable) send is retried — with
+/// exponential backoff — before the sender gives up: a worker keeps the
+/// token local, the driver escalates. Absorbs transient transport drops
+/// (see net/fault_transport.h) without any acknowledgement protocol.
+constexpr int kSendRetryLimit = 5;
+
 /// One rank's training run for one storage precision. The workers are the
 /// shared-memory solver's TokenWorkerPool (nomad/token_worker_pool.h) with
 /// a RemoteHandOff policy; what is distributed is that policy and the
@@ -110,14 +116,14 @@ class RankRun {
     RecomputeOwnership();
     next_threshold_ = local_epoch_updates_;
 
-    // Satellite budget lease: with a hard max_updates budget B, each rank
-    // starts with an equal share as its local cap; rank 0 re-leases the
-    // remainder at every barrier (kResume.held), so the job stops within a
-    // token batch of B instead of overshooting by up to an epoch.
-    if (opt_.max_updates > 0) {
-      const int64_t base = opt_.max_updates / world_;
-      const int64_t extra = rank_ < opt_.max_updates % world_ ? 1 : 0;
-      pool_->SetUpdatesCap(base + extra);
+    // Budget lease: with an update budget B (max_updates, else max_epochs
+    // passes), each rank starts with an equal share as its local cap; rank
+    // 0 re-leases the remainder at every barrier (kResume.held), so the job
+    // stops within a token batch of B instead of overshooting by up to an
+    // epoch.
+    const int64_t budget = recorder_->update_budget();
+    if (budget > 0) {
+      pool_->SetUpdatesCap(budget / world_ + (rank_ < budget % world_ ? 1 : 0));
     }
 
     remote_prob_ = o_.remote_token_fraction;
@@ -441,18 +447,25 @@ class RankRun {
   /// verdict as a heartbeat miss — the scrapeable trail of the failure
   /// detector's decisions. Call sites either sit behind IsLive (so a
   /// latched death counts once, not once per poll) or abort the rank on
-  /// the spot (the rank-0-is-dead checks).
+  /// the spot (the rank-0-is-dead check).
   bool PeerDead(int r) {
     if (transport_->peer_status(r) != PeerStatus::kDead) return false;
     heartbeat_misses_.Inc();
     return true;
   }
 
+  /// The one death no survivor recovers from: rank 0 coordinates every
+  /// barrier and recovery, so a rank that loses it aborts.
+  Status RankZeroUnreachable() const {
+    return Status::IOError(
+        "rank " + std::to_string(rank_) +
+        ": rank 0 is unreachable — unrecoverable, aborting");
+  }
+
   /// Sends with bounded retry + exponential backoff on transient
   /// (Unavailable) failures; any other error — and exhausted retries —
   /// surfaces to the caller.
   Status SendWithRetry(int dest, const std::vector<uint8_t>& buf) {
-    const int limit = std::max(0, o_.send_retry_limit);
     Status s;
     for (int attempt = 0;; ++attempt) {
       s = transport_->Send(dest, buf);  // copy: retries reuse the bytes
@@ -461,7 +474,7 @@ class RankRun {
         tx_bytes_[static_cast<size_t>(dest)].Inc(
             static_cast<int64_t>(buf.size()));
       }
-      if (s.ok() || attempt >= limit ||
+      if (s.ok() || attempt >= kSendRetryLimit ||
           s.code() != StatusCode::kUnavailable) {
         return s;
       }
@@ -495,9 +508,7 @@ class RankRun {
         death_pending_ = true;
         escalate = s;
       } else if (r == 0) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
+        return RankZeroUnreachable();
       }
     }
     return escalate;
@@ -509,70 +520,132 @@ class RankRun {
     return BroadcastLive(buf);
   }
 
-  /// The driver's death watch, polled in every wait loop. Rank 0 reads the
-  /// transport's liveness verdicts and is the only authority that declares
-  /// a death; everyone else learns through its kDeathNotice frames. While
-  /// a death is pending recovery this keeps returning Unavailable, which
-  /// unwinds whatever protocol phase is running back to DriveToCompletion.
-  Status CheckDeaths() {
-    if (world_ == 1) return Status::OK();
-    if (rank_ == 0) {
-      for (int r = 1; r < world_; ++r) {
-        if (IsLive(r) && PeerDead(r)) {
-          LatchDead(r);
-          death_pending_ = true;
-        }
-      }
-    } else {
-      if (PeerDead(0)) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
-      }
-      ControlFrame notice;
-      while (TakeCtrl(ControlKind::kDeathNotice, &notice)) {
-        LatchDead(static_cast<int>(notice.count));
-        notice_gen_ = std::max(notice_gen_, static_cast<int>(notice.epoch));
-        notice_epoch_ = std::max<int64_t>(notice_epoch_, notice.held);
-        death_pending_ = true;
-      }
-    }
-    if (death_pending_) {
-      return Status::Unavailable("rank death pending recovery");
-    }
-    return Status::OK();
-  }
+  // ---- the wait primitive ----
 
-  /// Recovery-phase variant of the death watch: a death that generation
-  /// `gen` does not cover restarts the recovery with the larger dead set,
-  /// again via Unavailable.
-  Status CheckRecoveryInterrupt(int gen) {
+  /// What a wait's death watch does with a death — one mode per kind of
+  /// protocol phase.
+  struct Watch {
+    enum Mode {
+      kBarrier,   ///< A pending death unwinds the phase as Unavailable.
+      kRecovery,  ///< Only a death newer than generation `gen` unwinds.
+      kGather,    ///< Dead ranks are only latched: training is over.
+    };
+    Mode mode = kBarrier;
+    int gen = 0;  ///< kRecovery: the generation the attempt runs.
+  };
+
+  /// The driver's death watch, run by every wait. Rank 0 reads the
+  /// transport's liveness verdicts and is the only authority that declares
+  /// a death; everyone else learns through its kDeathNotice frames, and
+  /// aborts if rank 0 itself is gone. In a barrier a death unwinds the
+  /// phase back to DriveToCompletion, and keeps doing so while it is
+  /// pending recovery; in a recovery only a death the running generation
+  /// does not cover unwinds, back to RunRecovery, which restarts with the
+  /// larger dead set.
+  Status WatchDeaths(Watch watch) {
+    if (world_ == 1) return Status::OK();
+    bool fresh = false;
     if (rank_ == 0) {
-      bool fresh = false;
       for (int r = 1; r < world_; ++r) {
         if (IsLive(r) && PeerDead(r)) {
           LatchDead(r);
           fresh = true;
         }
       }
-      return fresh ? Status::Unavailable("death during recovery")
+    } else {
+      if (PeerDead(0)) return RankZeroUnreachable();
+      ControlFrame notice;
+      while (TakeCtrl(ControlKind::kDeathNotice, &notice)) {
+        LatchDead(static_cast<int>(notice.count));
+        notice_gen_ = std::max(notice_gen_, static_cast<int>(notice.epoch));
+        notice_epoch_ = std::max<int64_t>(notice_epoch_, notice.held);
+        if (notice.epoch > watch.gen) fresh = true;
+      }
+    }
+    switch (watch.mode) {
+      case Watch::kBarrier:
+        death_pending_ = death_pending_ || fresh;
+        return death_pending_
+                   ? Status::Unavailable("rank death pending recovery")
                    : Status::OK();
+      case Watch::kRecovery:
+        return fresh ? Status::Unavailable("death during recovery")
+                     : Status::OK();
+      case Watch::kGather:
+        break;
     }
-    if (PeerDead(0)) {
-      return Status::IOError(
-          "rank " + std::to_string(rank_) +
-          ": rank 0 is unreachable — unrecoverable, aborting");
+    return Status::OK();
+  }
+
+  /// The protocol's one wait: pumps the transport, runs the death watch
+  /// and calls `poll` (returning bool, or Result<bool> when it can fail)
+  /// until it reports done, napping between rounds. The final gather
+  /// watches after polling: rank 0 closes its transport right after
+  /// broadcasting kShutdown, so the frame and the connection teardown race
+  /// — TCP delivers the frame first, but one Pump() can surface both at
+  /// once, and the frame must win over the liveness verdict.
+  template <typename Poll>
+  Status Await(Watch watch, Poll poll) {
+    const bool watch_first = watch.mode != Watch::kGather;
+    for (;;) {
+      NOMAD_RETURN_IF_ERROR(Pump());
+      if (watch_first) NOMAD_RETURN_IF_ERROR(WatchDeaths(watch));
+      const Result<bool> done = poll();
+      if (!done.ok()) return done.status();
+      if (done.value()) return Status::OK();
+      if (!watch_first) NOMAD_RETURN_IF_ERROR(WatchDeaths(watch));
+      Nap();
     }
-    bool newer = false;
-    ControlFrame notice;
-    while (TakeCtrl(ControlKind::kDeathNotice, &notice)) {
-      LatchDead(static_cast<int>(notice.count));
-      notice_epoch_ = std::max<int64_t>(notice_epoch_, notice.held);
-      if (notice.epoch > notice_gen_) notice_gen_ = notice.epoch;
-      if (notice.epoch > gen) newer = true;
+  }
+
+  /// Pops the next queued frame of `kind` a wait accepts. The recovery
+  /// frames kLeaseSync and kTokenRegrant carry their generation in
+  /// `epoch`; one of another generation is a leftover of a superseded
+  /// attempt and is dropped.
+  bool TakeFor(Watch watch, ControlKind kind, ControlFrame* out) {
+    const bool by_gen = kind == ControlKind::kLeaseSync ||
+                        kind == ControlKind::kTokenRegrant;
+    while (TakeCtrl(kind, out)) {
+      if (!by_gen || out->epoch == watch.gen) return true;
     }
-    return newer ? Status::Unavailable("newer recovery generation")
-                 : Status::OK();
+    return false;
+  }
+
+  /// One control frame per rank, indexed by rank; empty until it arrives.
+  using Reports = std::vector<std::optional<ControlFrame>>;
+
+  /// Waits until every live peer's frame of `kind` is in *got (a later
+  /// frame replaces its sender's earlier one) and `ready()` holds over
+  /// them. Nothing is awaited from a dead rank, nor from this one.
+  template <typename Ready>
+  Status AwaitFromLive(Watch watch, ControlKind kind, Reports* got,
+                       Ready ready) {
+    got->assign(static_cast<size_t>(world_), std::nullopt);
+    return Await(watch, [&] {
+      ControlFrame f;
+      while (TakeFor(watch, kind, &f)) (*got)[static_cast<size_t>(f.rank)] = f;
+      for (int r = 0; r < world_; ++r) {
+        if (r != rank_ && IsLive(r) && !(*got)[static_cast<size_t>(r)]) {
+          return false;
+        }
+      }
+      return ready();
+    });
+  }
+
+  /// Waits for rank 0's frame of `kind` into *out, running `each_round`
+  /// (which returns a Status) before every look.
+  template <typename Round>
+  Status AwaitFromRankZero(Watch watch, ControlKind kind, ControlFrame* out,
+                           Round each_round) {
+    return Await(watch, [&]() -> Result<bool> {
+      NOMAD_RETURN_IF_ERROR(each_round());
+      return TakeFor(watch, kind, out);
+    });
+  }
+
+  Status AwaitFromRankZero(Watch watch, ControlKind kind, ControlFrame* out) {
+    return AwaitFromRankZero(watch, kind, out, [] { return Status::OK(); });
   }
 
   /// Drops every queued control frame of a protocol phase a death aborted;
@@ -597,6 +670,7 @@ class RankRun {
 
   /// The contiguous user-row ranges this rank owns: its static partition
   /// slice plus everything adopted from dead ranks. Evaluation and the
+  /// final gather walk them.
   std::vector<std::pair<int32_t, int32_t>> OwnedRowRanges() const {
     std::vector<std::pair<int32_t, int32_t>> ranges;
     for (int g : my_globals_) {
@@ -640,14 +714,13 @@ class RankRun {
 
   Status DriveStep(bool* finished) {
     NOMAD_RETURN_IF_ERROR(Pump());
-    NOMAD_RETURN_IF_ERROR(CheckDeaths());
+    NOMAD_RETURN_IF_ERROR(WatchDeaths(Watch{}));
     const int64_t done = pool_->updates();
     const bool out_of_time =
         opt_.max_seconds > 0 &&
         train_seconds_ + wall_.ElapsedSeconds() >= opt_.max_seconds;
     const bool out_of_budget =
-        opt_.max_updates > 0 &&
-        done >= pool_->updates_cap();
+        recorder_->update_budget() > 0 && done >= pool_->updates_cap();
     if (rank_ == 0) {
       bool requested = done >= next_threshold_ || out_of_time ||
                        out_of_budget || barrier_after_recovery_;
@@ -699,7 +772,9 @@ class RankRun {
 
     // Phase 2 — h-row exchange: every rank broadcasts the rows it holds,
     // so every rank evaluates against the full current H.
-    NOMAD_RETURN_IF_ERROR(ExchangeHeldRows());
+    NOMAD_RETURN_IF_ERROR(SendRowsThenCount(MsgType::kHRow,
+                                            ControlKind::kHRowDone, Watch{},
+                                            held_, &hrow_received_));
 
     // Phase 3 — evaluation + trace point. Rank 0 aggregates the partial
     // sums and tells everyone whether to continue.
@@ -753,106 +828,115 @@ class RankRun {
   }
 
   Status AwaitConservation() {
-    const int32_t n = ds_.cols;
     if (rank_ == 0) {
-      std::vector<int64_t> rank_held(static_cast<size_t>(world_), -1);
-      for (;;) {
-        NOMAD_RETURN_IF_ERROR(Pump());
-        NOMAD_RETURN_IF_ERROR(CheckDeaths());
-        ControlFrame sync;
-        while (TakeCtrl(ControlKind::kTraceSync, &sync)) {
-          rank_held[static_cast<size_t>(sync.rank)] = sync.held;
-        }
-        rank_held[0] = static_cast<int64_t>(held_.size());
-        int64_t sum = 0;
-        bool all = true;
-        for (int r = 0; r < world_; ++r) {
-          if (!IsLive(r)) continue;  // a dead rank's tokens were re-granted
-          const int64_t c = rank_held[static_cast<size_t>(r)];
-          if (c < 0) {
-            all = false;
-            break;
-          }
-          sum += c;
-        }
-        if (all && sum == n) break;
-        NOMAD_CHECK(sum <= n) << "token duplication: " << sum << " held of "
-                              << n;
-        Nap();
-      }
+      const int64_t n = ds_.cols;
+      Reports syncs;
+      NOMAD_RETURN_IF_ERROR(AwaitFromLive(
+          Watch{}, ControlKind::kTraceSync, &syncs, [&] {
+            // A dead rank's tokens were re-granted; it reports nothing.
+            int64_t sum = static_cast<int64_t>(held_.size());
+            for (int r = 1; r < world_; ++r) {
+              if (IsLive(r)) sum += syncs[static_cast<size_t>(r)]->held;
+            }
+            NOMAD_CHECK(sum <= n)
+                << "token duplication: " << sum << " held of " << n;
+            return sum == n;
+          }));
       ControlFrame go;
       go.kind = ControlKind::kEvalStart;
       go.rank = 0;
       go.epoch = epoch_;
       return BroadcastCtrl(go);
     }
+    // Report the held count, and again whenever an in-flight token lands,
+    // until rank 0 sees every token parked.
     int64_t reported = -1;
-    for (;;) {
-      NOMAD_RETURN_IF_ERROR(Pump());
-      NOMAD_RETURN_IF_ERROR(CheckDeaths());
-      if (static_cast<int64_t>(held_.size()) != reported) {
-        reported = static_cast<int64_t>(held_.size());
-        ControlFrame sync;
-        sync.kind = ControlKind::kTraceSync;
-        sync.rank = rank_;
-        sync.epoch = epoch_;
-        sync.held = reported;
-        NOMAD_RETURN_IF_ERROR(SendCtrl(0, sync));
-      }
-      ControlFrame go;
-      if (TakeCtrl(ControlKind::kEvalStart, &go)) return Status::OK();
-      Nap();
-    }
+    ControlFrame go;
+    return AwaitFromRankZero(Watch{}, ControlKind::kEvalStart, &go, [&] {
+      if (static_cast<int64_t>(held_.size()) == reported) return Status::OK();
+      reported = static_cast<int64_t>(held_.size());
+      ControlFrame sync;
+      sync.kind = ControlKind::kTraceSync;
+      sync.rank = rank_;
+      sync.epoch = epoch_;
+      sync.held = reported;
+      return SendCtrl(0, sync);
+    });
   }
 
-  /// Broadcasts this rank's held h-rows to the live ranks and waits for
-  /// everyone else's. `recovery_gen` < 0 is the normal barrier phase;
-  /// >= 0 runs it as the recovery's re-own census (generation-aware
-  /// interrupt checks, and rank 0 records the ids it sees).
-  Status ExchangeHeldRows(int recovery_gen = -1) {
+  /// Sends this rank's rows `ids` of `type` — kHRow: H rows at their hop
+  /// version, to every live peer; kWRow: W rows, to rank 0 — then a
+  /// `done_kind` frame with their count. A receiving rank (every rank for
+  /// h rows, rank 0 for w rows) then waits until each live peer's count
+  /// has arrived and that many of its rows were counted into *received
+  /// (Pump counts them), and resets *received for the next exchange.
+  Status SendRowsThenCount(MsgType type, ControlKind done_kind, Watch watch,
+                           const std::vector<int32_t>& ids,
+                           std::vector<int64_t>* received) {
     if (world_ == 1) return Status::OK();
-    std::vector<uint8_t> frame;
-    for (int32_t j : held_) {
-      EncodeFactorRow<Real>(
-          MsgType::kHRow, j,
-          version_[static_cast<size_t>(j)].load(std::memory_order_relaxed),
-          h_.Row(j), k_, &frame);
-      NOMAD_RETURN_IF_ERROR(BroadcastLive(frame));
-    }
-    ControlFrame done;
-    done.kind = ControlKind::kHRowDone;
-    done.rank = rank_;
-    done.epoch = epoch_;
-    done.count = static_cast<int64_t>(held_.size());
-    NOMAD_RETURN_IF_ERROR(BroadcastCtrl(done));
-    std::vector<int64_t> expected(static_cast<size_t>(world_), -1);
-    expected[static_cast<size_t>(rank_)] = 0;
-    for (;;) {
-      NOMAD_RETURN_IF_ERROR(Pump());
-      NOMAD_RETURN_IF_ERROR(recovery_gen >= 0
-                                ? CheckRecoveryInterrupt(recovery_gen)
-                                : CheckDeaths());
-      ControlFrame f;
-      while (TakeCtrl(ControlKind::kHRowDone, &f)) {
-        expected[static_cast<size_t>(f.rank)] = f.count;
-      }
-      bool complete = true;
-      for (int r = 0; r < world_; ++r) {
-        if (!IsLive(r)) continue;  // nothing will come from a dead rank
-        if (expected[static_cast<size_t>(r)] < 0 ||
-            hrow_received_[static_cast<size_t>(r)] <
-                expected[static_cast<size_t>(r)]) {
-          complete = false;
-          break;
+    const bool h_rows = type == MsgType::kHRow;
+    if (h_rows || rank_ != 0) {
+      std::vector<uint8_t> frame;
+      for (int32_t id : ids) {
+        if (h_rows) {
+          EncodeFactorRow<Real>(
+              type, id,
+              version_[static_cast<size_t>(id)].load(
+                  std::memory_order_relaxed),
+              h_.Row(id), k_, &frame);
+          NOMAD_RETURN_IF_ERROR(BroadcastLive(frame));
+        } else {
+          EncodeFactorRow<Real>(type, id, 0u, w_.Row(id), k_, &frame);
+          NOMAD_RETURN_IF_ERROR(SendWithRetry(0, frame));
         }
       }
-      if (complete) {
-        // This exchange's rows are all accounted for; reset for the next.
-        hrow_received_.assign(static_cast<size_t>(world_), 0);
-        return Status::OK();
-      }
-      Nap();
+      ControlFrame done;
+      done.kind = done_kind;
+      done.rank = rank_;
+      done.epoch = epoch_;
+      done.count = static_cast<int64_t>(ids.size());
+      NOMAD_RETURN_IF_ERROR(h_rows ? BroadcastCtrl(done) : SendCtrl(0, done));
     }
+    if (!h_rows && rank_ != 0) return Status::OK();
+    Reports counts;
+    NOMAD_RETURN_IF_ERROR(AwaitFromLive(watch, done_kind, &counts, [&] {
+      for (int r = 0; r < world_; ++r) {
+        if (r != rank_ && IsLive(r) &&
+            (*received)[static_cast<size_t>(r)] <
+                counts[static_cast<size_t>(r)]->count) {
+          return false;
+        }
+      }
+      return true;
+    }));
+    received->assign(static_cast<size_t>(world_), 0);
+    return Status::OK();
+  }
+
+  /// Applies a barrier's outcome on this rank — rank 0 from its own
+  /// aggregate, the others from the kResume echo: records the trace point,
+  /// takes over the global totals and rate, and installs the leased
+  /// update cap (`cap` < 0: no lease).
+  void ApplyTracePoint(const TracePoint& pt, int64_t cap) {
+    recorder_->Record(pt);
+    global_updates_ = pt.updates;
+    global_seconds_ = pt.seconds;
+    updates_per_second_.Set(
+        global_seconds_ > 0.0
+            ? static_cast<double>(global_updates_) / global_seconds_
+            : 0.0);
+    if (cap >= 0) pool_->SetUpdatesCap(cap);
+  }
+
+  /// A rank's traffic row, off its kPartialEval frame.
+  static RankTrafficStats TrafficRow(const ControlFrame& f) {
+    RankTrafficStats t;
+    t.rank = f.rank;
+    t.tokens_sent = f.tokens_sent;
+    t.tokens_received = f.tokens_received;
+    t.bytes_sent = f.bytes_sent;
+    t.bytes_received = f.bytes_received;
+    return t;
   }
 
   Status EvaluateAndDecide(bool* stop) {
@@ -888,201 +972,100 @@ class RankRun {
     mine.tokens_received = tokens_received_.Value() - tokens_received0_;
     mine.bytes_sent = tstats.bytes_sent;
     mine.bytes_received = tstats.bytes_received;
+    rank_traffic_.clear();
 
-    if (rank_ == 0) {
-      std::vector<ControlFrame> evals(static_cast<size_t>(world_));
-      std::vector<bool> have(static_cast<size_t>(world_), false);
-      evals[0] = mine;
-      have[0] = true;
-      int missing = LiveCount() - 1;
-      while (missing > 0) {
-        NOMAD_RETURN_IF_ERROR(Pump());
-        NOMAD_RETURN_IF_ERROR(CheckDeaths());
-        ControlFrame f;
-        while (TakeCtrl(ControlKind::kPartialEval, &f)) {
-          if (!have[static_cast<size_t>(f.rank)]) {
-            have[static_cast<size_t>(f.rank)] = true;
-            --missing;
-          }
-          evals[static_cast<size_t>(f.rank)] = f;
-        }
-        if (missing > 0) Nap();
-      }
-      double sq_total = 0.0;
-      int64_t cnt_total = 0;
-      int64_t updates_total = 0;
-      rank_traffic_.clear();
-      for (int r = 0; r < world_; ++r) {
-        if (!have[static_cast<size_t>(r)]) continue;  // dead rank: no report
-        const ControlFrame& f = evals[static_cast<size_t>(r)];
-        sq_total += f.sq_err;
-        cnt_total += f.count;
-        updates_total += f.updates;
-        RankTrafficStats t;
-        t.rank = f.rank;
-        t.tokens_sent = f.tokens_sent;
-        t.tokens_received = f.tokens_received;
-        t.bytes_sent = f.bytes_sent;
-        t.bytes_received = f.bytes_received;
-        rank_traffic_.push_back(t);
-      }
-      const double rmse =
-          cnt_total > 0 ? std::sqrt(sq_total / static_cast<double>(cnt_total))
-                        : 0.0;
-      global_updates_ = updates_total;
-      global_seconds_ = train_seconds_;
-      updates_per_second_.Set(
-          global_seconds_ > 0.0
-              ? static_cast<double>(global_updates_) / global_seconds_
-              : 0.0);
-      TracePoint pt;
-      pt.seconds = train_seconds_;
-      pt.updates = updates_total;
-      pt.test_rmse = rmse;
-      recorder_->Record(pt);
-      *stop = recorder_->Done(updates_total, train_seconds_);
+    if (rank_ != 0) {
+      NOMAD_RETURN_IF_ERROR(SendCtrl(0, mine));
+      // Own traffic row, so non-zero ranks still report themselves.
+      rank_traffic_.push_back(TrafficRow(mine));
       ControlFrame resume;
-      resume.kind = ControlKind::kResume;
-      resume.rank = 0;
-      resume.epoch = epoch_;
-      resume.flag = *stop ? 1 : 0;
-      resume.updates = updates_total;
-      resume.sq_err = rmse;
-      resume.seconds = train_seconds_;
-      // With a hard max_updates budget, re-lease what remains of it across
-      // the live ranks as absolute per-rank caps (kResume.held): each
-      // rank's workers stop at their cap and request the next barrier, so
-      // the job lands within a token batch of the budget instead of
-      // overshooting by up to an epoch.
-      const bool lease = opt_.max_updates > 0 && !*stop;
-      const std::vector<int> live = LiveRanks();
-      const int64_t remaining =
-          lease ? std::max<int64_t>(opt_.max_updates - updates_total, 0) : 0;
-      const int64_t nlive = static_cast<int64_t>(live.size());
-      int64_t share_index = 0;
-      for (int r : live) {
-        resume.held = -1;
-        if (lease) {
-          const int64_t share =
-              remaining / nlive + (share_index < remaining % nlive ? 1 : 0);
-          resume.held = evals[static_cast<size_t>(r)].updates + share;
-          ++share_index;
-        }
-        if (r == 0) {
-          if (resume.held >= 0) {
-            pool_->SetUpdatesCap(resume.held);
-          }
-          continue;
-        }
-        NOMAD_RETURN_IF_ERROR(SendCtrl(r, resume));
-      }
+      NOMAD_RETURN_IF_ERROR(
+          AwaitFromRankZero(Watch{}, ControlKind::kResume, &resume));
+      ApplyTracePoint({.seconds = resume.seconds,
+                       .updates = resume.updates,
+                       .test_rmse = resume.sq_err},
+                      resume.held);
+      *stop = resume.flag != 0;
       return Status::OK();
     }
 
-    NOMAD_RETURN_IF_ERROR(SendCtrl(0, mine));
-    // Own traffic row, so non-zero ranks still report themselves.
-    rank_traffic_.clear();
-    RankTrafficStats t;
-    t.rank = rank_;
-    t.tokens_sent = mine.tokens_sent;
-    t.tokens_received = mine.tokens_received;
-    t.bytes_sent = mine.bytes_sent;
-    t.bytes_received = mine.bytes_received;
-    rank_traffic_.push_back(t);
-    for (;;) {
-      NOMAD_RETURN_IF_ERROR(Pump());
-      NOMAD_RETURN_IF_ERROR(CheckDeaths());
-      ControlFrame f;
-      if (TakeCtrl(ControlKind::kResume, &f)) {
-        TracePoint pt;
-        pt.seconds = f.seconds;
-        pt.updates = f.updates;
-        pt.test_rmse = f.sq_err;
-        recorder_->Record(pt);
-        global_updates_ = f.updates;
-        global_seconds_ = f.seconds;
-        updates_per_second_.Set(
-            global_seconds_ > 0.0
-                ? static_cast<double>(global_updates_) / global_seconds_
-                : 0.0);
-        if (f.held >= 0) {
-          pool_->SetUpdatesCap(f.held);
-        }
-        *stop = f.flag != 0;
-        return Status::OK();
-      }
-      Nap();
+    Reports evals;
+    NOMAD_RETURN_IF_ERROR(AwaitFromLive(Watch{}, ControlKind::kPartialEval,
+                                        &evals, [] { return true; }));
+    evals[0] = mine;
+    double sq_total = 0.0;
+    int64_t cnt_total = 0;
+    int64_t updates_total = 0;
+    for (const std::optional<ControlFrame>& f : evals) {
+      if (!f) continue;  // dead rank: no report
+      sq_total += f->sq_err;
+      cnt_total += f->count;
+      updates_total += f->updates;
+      rank_traffic_.push_back(TrafficRow(*f));
     }
+    const double rmse =
+        cnt_total > 0 ? std::sqrt(sq_total / static_cast<double>(cnt_total))
+                      : 0.0;
+    *stop = recorder_->Done(updates_total, train_seconds_);
+    ControlFrame resume;
+    resume.kind = ControlKind::kResume;
+    resume.rank = 0;
+    resume.epoch = epoch_;
+    resume.flag = *stop ? 1 : 0;
+    resume.updates = updates_total;
+    resume.sq_err = rmse;
+    resume.seconds = train_seconds_;
+    // With an update budget, re-lease what remains of it across the live
+    // ranks as absolute per-rank caps (kResume.held): each rank's workers
+    // stop at their cap and request the next barrier, so the job lands
+    // within a token batch of the budget instead of overshooting by up to
+    // an epoch.
+    const int64_t budget = recorder_->update_budget();
+    const bool lease = budget > 0 && !*stop;
+    const std::vector<int> live = LiveRanks();
+    const int64_t remaining =
+        lease ? std::max<int64_t>(budget - updates_total, 0) : 0;
+    const int64_t nlive = static_cast<int64_t>(live.size());
+    for (int64_t i = 0; i < nlive; ++i) {
+      const int r = live[static_cast<size_t>(i)];
+      resume.held = lease ? evals[static_cast<size_t>(r)]->updates +
+                                remaining / nlive +
+                                (i < remaining % nlive ? 1 : 0)
+                          : -1;
+      if (r != 0) {
+        NOMAD_RETURN_IF_ERROR(SendCtrl(r, resume));
+        continue;
+      }
+      // Rank 0 is live[0]: its point lands before any kResume leaves.
+      ApplyTracePoint({.seconds = train_seconds_,
+                       .updates = updates_total,
+                       .test_rmse = rmse},
+                      resume.held);
+    }
+    return Status::OK();
   }
 
   Status GatherFinalModel() {
-    if (world_ == 1) return Status::OK();
-    if (rank_ == 0) {
-      std::vector<int64_t> expected(static_cast<size_t>(world_), -1);
-      expected[0] = 0;
-      for (;;) {
-        NOMAD_RETURN_IF_ERROR(Pump());
-        // Training is over, so a rank dying here gets no recovery: latch
-        // it, keep whatever w rows it managed to send (this rank's W holds
-        // deterministic initial values for the rest), and move on.
-        for (int r = 1; r < world_; ++r) {
-          if (IsLive(r) && PeerDead(r)) {
-            LatchDead(r);
-          }
-        }
-        ControlFrame f;
-        while (TakeCtrl(ControlKind::kWDone, &f)) {
-          expected[static_cast<size_t>(f.rank)] = f.count;
-        }
-        bool complete = true;
-        for (int r = 0; r < world_; ++r) {
-          if (!IsLive(r)) continue;
-          if (expected[static_cast<size_t>(r)] < 0 ||
-              wrow_received_[static_cast<size_t>(r)] <
-                  expected[static_cast<size_t>(r)]) {
-            complete = false;
-            break;
-          }
-        }
-        if (complete) break;
-        Nap();
-      }
-      ControlFrame bye;
-      bye.kind = ControlKind::kShutdown;
-      bye.rank = 0;
-      bye.epoch = epoch_;
-      return BroadcastCtrl(bye);
-    }
-    std::vector<uint8_t> frame;
-    int64_t rows_sent = 0;
-    for (const auto& range : OwnedRowRanges()) {
-      for (int32_t i = range.first; i < range.second; ++i) {
-        EncodeFactorRow<Real>(MsgType::kWRow, i, 0u, w_.Row(i), k_, &frame);
-        NOMAD_RETURN_IF_ERROR(SendWithRetry(0, frame));
-        ++rows_sent;
+    const Watch gather{.mode = Watch::kGather};
+    std::vector<int32_t> rows;
+    if (rank_ != 0) {
+      for (const auto& range : OwnedRowRanges()) {
+        for (int32_t i = range.first; i < range.second; ++i) rows.push_back(i);
       }
     }
-    ControlFrame done;
-    done.kind = ControlKind::kWDone;
-    done.rank = rank_;
-    done.epoch = epoch_;
-    done.count = rows_sent;
-    NOMAD_RETURN_IF_ERROR(SendCtrl(0, done));
-    for (;;) {
-      NOMAD_RETURN_IF_ERROR(Pump());
-      // Check for the shutdown frame BEFORE the liveness verdict: rank 0
-      // closes its transport right after broadcasting kShutdown, so the
-      // frame and the connection teardown race — TCP delivers the frame
-      // first, but one Pump() can surface both at once.
-      ControlFrame f;
-      if (TakeCtrl(ControlKind::kShutdown, &f)) return Status::OK();
-      if (PeerDead(0)) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
-      }
-      Nap();
+    // Training is over, so a rank dying here gets no recovery: rank 0
+    // latches it, keeps whatever w rows it managed to send (this rank's W
+    // holds deterministic initial values for the rest), and moves on.
+    NOMAD_RETURN_IF_ERROR(SendRowsThenCount(MsgType::kWRow, ControlKind::kWDone,
+                                            gather, rows, &wrow_received_));
+    ControlFrame bye;
+    if (rank_ != 0) {
+      return AwaitFromRankZero(gather, ControlKind::kShutdown, &bye);
     }
+    bye.kind = ControlKind::kShutdown;
+    bye.rank = 0;
+    bye.epoch = epoch_;
+    return BroadcastCtrl(bye);
   }
 
   // ---- failure recovery ----
@@ -1130,6 +1113,7 @@ class RankRun {
     } else {
       gen = notice_gen_;
     }
+    const Watch watch{.mode = Watch::kRecovery, .gen = gen};
     recovery_generation_.Set(gen);
     NOMAD_LOG(kWarning) << "dist_nomad rank " << rank_
                         << ": recovery generation " << gen << " ("
@@ -1150,35 +1134,15 @@ class RankRun {
       record_hrow_ids_ = true;
       for (auto& ids : seen_hrow_ids_) ids.clear();
     }
-    {
-      ControlFrame marker;
-      marker.kind = ControlKind::kLeaseSync;
-      marker.rank = rank_;
-      marker.epoch = gen;
-      marker.held = static_cast<int64_t>(held_.size());
-      NOMAD_RETURN_IF_ERROR(BroadcastCtrl(marker));
-      std::vector<char> marked(static_cast<size_t>(world_), 0);
-      marked[static_cast<size_t>(rank_)] = 1;
-      for (;;) {
-        NOMAD_RETURN_IF_ERROR(Pump());
-        NOMAD_RETURN_IF_ERROR(CheckRecoveryInterrupt(gen));
-        ControlFrame f;
-        while (TakeCtrl(ControlKind::kLeaseSync, &f)) {
-          if (f.epoch == gen) marked[static_cast<size_t>(f.rank)] = 1;
-          // markers of older generations are leftovers of a superseded
-          // attempt; drop them
-        }
-        bool all = true;
-        for (int r = 0; r < world_; ++r) {
-          if (IsLive(r) && !marked[static_cast<size_t>(r)]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) break;
-        Nap();
-      }
-    }
+    ControlFrame marker;
+    marker.kind = ControlKind::kLeaseSync;
+    marker.rank = rank_;
+    marker.epoch = gen;
+    marker.held = static_cast<int64_t>(held_.size());
+    NOMAD_RETURN_IF_ERROR(BroadcastCtrl(marker));
+    Reports markers;
+    NOMAD_RETURN_IF_ERROR(AwaitFromLive(watch, ControlKind::kLeaseSync,
+                                        &markers, [] { return true; }));
 
     // 3. Reset the aborted protocol: everything those purged frames were
     //    part of has provably arrived. The h-row counters were already
@@ -1191,14 +1155,10 @@ class RankRun {
     //    also re-syncs H everywhere); rank 0 records the ids, so the set
     //    of tokens that died with the dead ranks — held there, or in
     //    flight to or from them — is exactly the complement.
-    {
-      const Status census = ExchangeHeldRows(gen);
-      if (!census.ok()) {
-        record_hrow_ids_ = false;
-        return census;
-      }
-      record_hrow_ids_ = false;
-    }
+    const Status census = SendRowsThenCount(
+        MsgType::kHRow, ControlKind::kHRowDone, watch, held_, &hrow_received_);
+    record_hrow_ids_ = false;
+    NOMAD_RETURN_IF_ERROR(census);
 
     // 5. Re-grant. Rank 0 re-materializes each missing token from its own
     //    (census-fresh) h-row copy, with a version reset far above any
@@ -1251,17 +1211,9 @@ class RankRun {
         NOMAD_RETURN_IF_ERROR(SendCtrl(r, receipt));
       }
     } else {
-      for (;;) {
-        NOMAD_RETURN_IF_ERROR(Pump());
-        NOMAD_RETURN_IF_ERROR(CheckRecoveryInterrupt(gen));
-        ControlFrame f;
-        bool receipted = false;
-        while (TakeCtrl(ControlKind::kTokenRegrant, &f)) {
-          if (f.epoch == gen) receipted = true;
-        }
-        if (receipted) break;
-        Nap();
-      }
+      ControlFrame receipt;
+      NOMAD_RETURN_IF_ERROR(
+          AwaitFromRankZero(watch, ControlKind::kTokenRegrant, &receipt));
       epoch_ = static_cast<int>(std::max<int64_t>(epoch_, notice_epoch_));
     }
 

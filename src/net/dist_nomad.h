@@ -29,11 +29,6 @@ struct DistNomadOptions {
   /// the stationary token distribution identical to the single-process
   /// solver. Smaller values trade global mixing for less network traffic.
   double remote_token_fraction = -1.0;
-  /// How many times a failed (Unavailable) send is retried — with
-  /// exponential backoff — before the sender gives up: a worker keeps the
-  /// token local, the driver escalates. Absorbs transient transport drops
-  /// (see net/fault_transport.h) without any acknowledgement protocol.
-  int send_retry_limit = 5;
   /// Wire-codec stages (net/codec.h) stacked over the transport: bf16/f16
   /// payload quantization, delta rows against the receiver's last-seen
   /// copy, batch coalescing. Every rank of a job must run the same spec —

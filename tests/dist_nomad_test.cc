@@ -531,7 +531,9 @@ std::vector<KillPoint> KillPointSweep() {
     for (ControlKind kind :
          {ControlKind::kBarrierRequest, ControlKind::kTraceSync,
           ControlKind::kHRowDone, ControlKind::kPartialEval}) {
-      for (int occurrence : {1, 2}) points.push_back({victim, kind, occurrence});
+      for (int occurrence : {1, 2}) {
+        points.push_back({victim, kind, occurrence});
+      }
     }
   }
   return points;
@@ -594,33 +596,40 @@ TEST(DistNomadFaultTest, SeededDropsDupsAndDelaysAreAbsorbed) {
   EXPECT_LT(results[0].value().trace.FinalRmse(), 0.6);
 }
 
-// Satellite 1: the distributed update budget must stop like the
-// shared-memory solver stops — close to max_updates, not overshooting by
-// an epoch. Rank 0 leases per-rank quotas at every barrier, so the global
-// tally lands in the same window as the single-process run.
+// The distributed update budget must stop like the shared-memory solver
+// stops — close to the budget, not overshooting by an epoch — whether the
+// budget is max_updates or max_epochs passes. Rank 0 leases per-rank
+// quotas at every barrier, so the global tally lands in the same window as
+// the single-process run.
 TEST(DistNomadFaultTest, UpdateBudgetLeaseMatchesSharedMemorySemantics) {
   const Dataset ds = MakeItemRichDataset();
   const int64_t budget = 2 * ds.train.nnz();  // stop mid-run, ~2 epochs in
 
-  TrainOptions single_opt = FastTrainOptions(/*epochs=*/50, /*workers=*/2);
-  single_opt.max_updates = budget;
-  NomadSolver single;
-  auto single_result = single.Train(ds, single_opt);
-  ASSERT_TRUE(single_result.ok()) << single_result.status().ToString();
+  TrainOptions by_updates = FastTrainOptions(/*epochs=*/50, /*workers=*/2);
+  by_updates.max_updates = budget;
+  TrainOptions by_epochs = FastTrainOptions(/*epochs=*/2, /*workers=*/2);
+  by_epochs.max_updates = 0;
+  for (const TrainOptions& single_opt : {by_updates, by_epochs}) {
+    SCOPED_TRACE("max_updates=" + std::to_string(single_opt.max_updates) +
+                 " max_epochs=" + std::to_string(single_opt.max_epochs));
+    NomadSolver single;
+    auto single_result = single.Train(ds, single_opt);
+    ASSERT_TRUE(single_result.ok()) << single_result.status().ToString();
 
-  DistNomadOptions o;
-  o.train = single_opt;
-  auto results = RunLoopbackWorld(ds, o, 3);
-  ASSERT_EQ(results.size(), 3u);
+    DistNomadOptions o;
+    o.train = single_opt;
+    auto results = RunLoopbackWorld(ds, o, 3);
+    ASSERT_EQ(results.size(), 3u);
 
-  // Both runs must reach the budget and neither may overshoot it by more
-  // than a small fraction of an epoch (the per-worker race window).
-  const int64_t slack = ds.train.nnz() / 4;
-  EXPECT_GE(single_result.value().total_updates, budget);
-  EXPECT_LT(single_result.value().total_updates, budget + slack);
-  EXPECT_GE(results[0].total_updates, budget);
-  EXPECT_LT(results[0].total_updates, budget + slack)
-      << "distributed run overshot the update budget";
+    // Both runs must reach the budget and neither may overshoot it by more
+    // than a small fraction of an epoch (the per-worker race window).
+    const int64_t slack = ds.train.nnz() / 4;
+    EXPECT_GE(single_result.value().total_updates, budget);
+    EXPECT_LT(single_result.value().total_updates, budget + slack);
+    EXPECT_GE(results[0].total_updates, budget);
+    EXPECT_LT(results[0].total_updates, budget + slack)
+        << "distributed run overshot the update budget";
+  }
 }
 
 // End-to-end over real sockets: 2 ranks on 127.0.0.1, each in its own
