@@ -298,23 +298,23 @@ CodecTransport::CodecTransport(Transport* base, const CodecOptions& options)
   tx_.reserve(static_cast<size_t>(world));
   for (int r = 0; r < world; ++r) tx_.push_back(std::make_unique<PeerTx>());
   rx_.resize(static_cast<size_t>(world));
-  if (options_.registry != nullptr) {
-    const obs::Labels rl = {{"rank", std::to_string(options_.metrics_rank)}};
-    m_raw_bytes_ =
-        options_.registry->GetCounter("nomad_dist_codec_raw_bytes_total", rl);
-    m_coded_bytes_ = options_.registry->GetCounter(
-        "nomad_dist_codec_coded_bytes_total", rl);
-    m_delta_hits_ =
-        options_.registry->GetCounter("nomad_dist_codec_delta_hits_total", rl);
-    m_delta_full_ =
-        options_.registry->GetCounter("nomad_dist_codec_delta_full_total", rl);
-    m_stale_rejects_ = options_.registry->GetCounter(
-        "nomad_dist_codec_stale_rejects_total", rl);
-    m_flushes_ =
-        options_.registry->GetCounter("nomad_dist_codec_flushes_total", rl);
-    m_split_flushes_ = options_.registry->GetCounter(
-        "nomad_dist_codec_split_flushes_total", rl);
-  }
+  // Without a caller registry the counters live in the private fallback:
+  // codec_stats() is a view over them either way.
+  obs::MetricsRegistry* registry = options_.registry != nullptr
+                                       ? options_.registry
+                                       : &fallback_registry_;
+  const obs::Labels rl = {{"rank", std::to_string(options_.metrics_rank)}};
+  raw_bytes_ = registry->GetCounter("nomad_dist_codec_raw_bytes_total", rl);
+  coded_bytes_ =
+      registry->GetCounter("nomad_dist_codec_coded_bytes_total", rl);
+  delta_hits_ = registry->GetCounter("nomad_dist_codec_delta_hits_total", rl);
+  delta_full_ = registry->GetCounter("nomad_dist_codec_delta_full_total", rl);
+  stale_rejects_ =
+      registry->GetCounter("nomad_dist_codec_stale_rejects_total", rl);
+  flushes_ = registry->GetCounter("nomad_dist_codec_flushes_total", rl);
+  split_flushes_ =
+      registry->GetCounter("nomad_dist_codec_split_flushes_total", rl);
+  start_ = codec_stats();  // start_ is still zero: the absolute values
 }
 
 CodecTransport::~CodecTransport() = default;
@@ -418,16 +418,14 @@ std::vector<uint8_t> CodecTransport::EncodeFactorForWire(
                         wire_entry_bytes_);
           }
         }
-        delta_hits_.fetch_add(1, std::memory_order_relaxed);
-        m_delta_hits_.Inc();
+        delta_hits_.Inc();
         *cache_id = id;
         cache_update->version = version;
         cache_update->entries = std::move(entries);
         return out;
       }
     }
-    delta_full_.fetch_add(1, std::memory_order_relaxed);
-    m_delta_full_.Inc();
+    delta_full_.Inc();
   }
 
   std::vector<uint8_t> out;
@@ -468,9 +466,7 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
     if (cache_id >= 0) {
       tx.cache[cache_id] = std::move(cache_update);
     }
-    raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
-                         std::memory_order_relaxed);
-    m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
+    raw_bytes_.Inc(static_cast<int64_t>(raw_size));
     if (tx.buffer.size() >=
             static_cast<size_t>(options_.batch_max_frames) ||
         tx.buffered_bytes >= options_.batch_max_bytes) {
@@ -493,12 +489,8 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
   const size_t coded_size = frame.size();
   const Status sent = base_->Send(dest, std::move(frame));
   if (sent.ok()) {
-    raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
-                         std::memory_order_relaxed);
-    m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
-    coded_bytes_.fetch_add(static_cast<int64_t>(coded_size),
-                           std::memory_order_relaxed);
-    m_coded_bytes_.Inc(static_cast<int64_t>(coded_size));
+    raw_bytes_.Inc(static_cast<int64_t>(raw_size));
+    coded_bytes_.Inc(static_cast<int64_t>(coded_size));
     if (cache_id >= 0) tx.cache[cache_id] = std::move(cache_update);
     // The recovery protocol's channel-flush marker: everything after it on
     // this channel decodes against a fresh cache on the receiving end, so
@@ -540,27 +532,18 @@ Status CodecTransport::FlushLocked(int dest, PeerTx* tx) {
     }
     if (!sent.ok()) {
       // Unsent frames stay buffered (in order) for the next flush.
-      if (groups > 0) {
-        flushes_.fetch_add(1, std::memory_order_relaxed);
-        m_flushes_.Inc();
-      }
+      if (groups > 0) flushes_.Inc();
       return sent;
     }
-    coded_bytes_.fetch_add(static_cast<int64_t>(coded_size),
-                           std::memory_order_relaxed);
-    m_coded_bytes_.Inc(static_cast<int64_t>(coded_size));
+    coded_bytes_.Inc(static_cast<int64_t>(coded_size));
     for (size_t i = 0; i < count; ++i) {
       tx->buffered_bytes -= tx->buffer.front().size();
       tx->buffer.pop_front();
     }
     ++groups;
   }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  m_flushes_.Inc();
-  if (groups > 1) {
-    split_flushes_.fetch_add(1, std::memory_order_relaxed);
-    m_split_flushes_.Inc();
-  }
+  flushes_.Inc();
+  if (groups > 1) split_flushes_.Inc();
   return Status::OK();
 }
 
@@ -726,8 +709,7 @@ bool CodecTransport::TryReceive(std::vector<uint8_t>* frame, int* src) {
          type == static_cast<uint8_t>(MsgType::kHRow)) &&
         (options_.spec.quantizes() || options_.spec.delta)) {
       if (!DecodeFactorForSolver(from, &raw)) {
-        stale_rejects_.fetch_add(1, std::memory_order_relaxed);
-        m_stale_rejects_.Inc();
+        stale_rejects_.Inc();
         continue;
       }
     }
@@ -750,15 +732,13 @@ Status CodecTransport::Close() {
 }
 
 CodecTransport::CodecStats CodecTransport::codec_stats() const {
-  CodecStats stats;
-  stats.raw_bytes = raw_bytes_.load(std::memory_order_relaxed);
-  stats.coded_bytes = coded_bytes_.load(std::memory_order_relaxed);
-  stats.delta_hits = delta_hits_.load(std::memory_order_relaxed);
-  stats.delta_full = delta_full_.load(std::memory_order_relaxed);
-  stats.stale_rejects = stale_rejects_.load(std::memory_order_relaxed);
-  stats.flushes = flushes_.load(std::memory_order_relaxed);
-  stats.split_flushes = split_flushes_.load(std::memory_order_relaxed);
-  return stats;
+  return {raw_bytes_.Value() - start_.raw_bytes,
+          coded_bytes_.Value() - start_.coded_bytes,
+          delta_hits_.Value() - start_.delta_hits,
+          delta_full_.Value() - start_.delta_full,
+          stale_rejects_.Value() - start_.stale_rejects,
+          flushes_.Value() - start_.flushes,
+          split_flushes_.Value() - start_.split_flushes};
 }
 
 }  // namespace net

@@ -1,7 +1,6 @@
 #ifndef NOMAD_NET_CODEC_H_
 #define NOMAD_NET_CODEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -131,8 +130,8 @@ struct CodecOptions {
   /// …or this many payload bytes, whichever comes first.
   size_t batch_max_bytes = 1 << 14;
 
-  /// Registry for the nomad_dist_codec_* series (null = counters stay
-  /// internal-only) and the rank label they carry.
+  /// Registry for the nomad_dist_codec_* series (null = a private one
+  /// nothing scrapes) and the rank label they carry.
   obs::MetricsRegistry* registry = nullptr;
   int metrics_rank = -1;  ///< Value of the `rank` label.
 };
@@ -191,8 +190,8 @@ class CodecTransport final : public Transport {
   /// The spec this endpoint runs.
   const WireCodecSpec& spec() const { return options_.spec; }
 
-  /// Counters of the codec work done so far (thread-safe snapshot). The
-  /// same numbers export as nomad_dist_codec_* when a registry is wired.
+  /// Counters of this endpoint's codec work so far (thread-safe snapshot):
+  /// a view over its nomad_dist_codec_* registry series.
   struct CodecStats {
     int64_t raw_bytes = 0;      ///< Payload bytes accepted from the solver.
     int64_t coded_bytes = 0;    ///< Payload bytes handed to the transport.
@@ -252,21 +251,13 @@ class CodecTransport final : public Transport {
   std::vector<PeerRx> rx_;                   // index: source rank
   std::deque<std::pair<int, std::vector<uint8_t>>> unbatched_;
 
-  std::atomic<int64_t> raw_bytes_{0};
-  std::atomic<int64_t> coded_bytes_{0};
-  std::atomic<int64_t> delta_hits_{0};
-  std::atomic<int64_t> delta_full_{0};
-  std::atomic<int64_t> stale_rejects_{0};
-  std::atomic<int64_t> flushes_{0};
-  std::atomic<int64_t> split_flushes_{0};
-
-  obs::Counter m_raw_bytes_;
-  obs::Counter m_coded_bytes_;
-  obs::Counter m_delta_hits_;
-  obs::Counter m_delta_full_;
-  obs::Counter m_stale_rejects_;
-  obs::Counter m_flushes_;
-  obs::Counter m_split_flushes_;
+  // The codec work counters, in options_.registry or in the private
+  // fallback; codec_stats() reads them minus their values at
+  // construction, since a shared registry's cells may be warm.
+  obs::MetricsRegistry fallback_registry_{true};
+  obs::Counter raw_bytes_, coded_bytes_, delta_hits_, delta_full_;
+  obs::Counter stale_rejects_, flushes_, split_flushes_;
+  CodecStats start_;
 };
 
 }  // namespace net
