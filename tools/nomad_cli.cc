@@ -25,7 +25,8 @@
 // --metrics-port N exports the process metrics registry over HTTP during
 // training (Prometheus text format; N=0 binds an ephemeral port, printed
 // at startup). --trace-out FILE writes the run timeline as JSONL;
-// --metrics-sample-ms N adds background sampler rows between trace points.
+// --metrics-sample-ms N adds background sampler rows between trace points
+// (train only: the simulators run on virtual time, with no clock to sample).
 // See docs/OBSERVABILITY.md for the metric reference and JSONL schema.
 
 #include <cstdio>
@@ -63,7 +64,7 @@ const std::vector<std::string> kKnownFlags = {
     "rank", "lambda", "alpha", "beta", "loss", "workers", "token-batch",
     "max-token-batch", "epochs", "max-seconds", "bold-driver", "precision",
     "numa", "solver", "model", "metrics-port",
-    // timeline (train / simulate)
+    // timeline: trace-out (train / simulate), metrics-sample-ms (train)
     "trace-out", "metrics-sample-ms",
     // topn
     "user", "n",
@@ -240,6 +241,13 @@ int CmdTopN(const Flags& flags) {
 }
 
 int CmdSimulate(const Flags& flags) {
+  if (flags.Has("metrics-sample-ms")) {
+    return Fail(Status::InvalidArgument(
+                    "--metrics-sample-ms does not apply to simulate: the "
+                    "simulators run on virtual time, with no wall clock "
+                    "to sample")
+                    .ToString());
+  }
   const std::string preset = flags.GetString("preset", "netflix");
   const std::string solver_name = flags.GetString("solver", "sim_nomad");
   const int machines = static_cast<int>(flags.GetInt("machines", 8));
