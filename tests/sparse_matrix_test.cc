@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace nomad {
 namespace {
@@ -153,6 +154,97 @@ TEST_P(SparseMatrixPropertyTest, RowsWithinColumnsAscend) {
       EXPECT_LT(m.ColRows(j)[p - 1], m.ColRows(j)[p]);
     }
   }
+}
+
+// Reference construction: a comparator sort of all triplets, then CSR
+// straight from the sorted order and CSC by a stable counting pass.
+struct Layouts {
+  std::vector<int64_t> csr_ptr, csc_ptr;
+  std::vector<int32_t> csr_col, csc_row;
+  std::vector<float> csr_val, csc_val;
+  bool operator==(const Layouts&) const = default;
+};
+
+Layouts SortReference(int32_t rows, int32_t cols, std::vector<Rating> r) {
+  std::sort(r.begin(), r.end(), [](const Rating& a, const Rating& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  Layouts l;
+  l.csr_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  l.csc_ptr.assign(static_cast<size_t>(cols) + 1, 0);
+  for (const Rating& x : r) {
+    ++l.csr_ptr[static_cast<size_t>(x.row) + 1];
+    ++l.csc_ptr[static_cast<size_t>(x.col) + 1];
+    l.csr_col.push_back(x.col);
+    l.csr_val.push_back(x.value);
+  }
+  for (size_t i = 1; i < l.csr_ptr.size(); ++i) l.csr_ptr[i] += l.csr_ptr[i - 1];
+  for (size_t j = 1; j < l.csc_ptr.size(); ++j) l.csc_ptr[j] += l.csc_ptr[j - 1];
+  l.csc_row.resize(r.size());
+  l.csc_val.resize(r.size());
+  std::vector<int64_t> next(l.csc_ptr.begin(), l.csc_ptr.end() - 1);
+  for (const Rating& x : r) {
+    const int64_t p = next[static_cast<size_t>(x.col)]++;
+    l.csc_row[static_cast<size_t>(p)] = x.row;
+    l.csc_val[static_cast<size_t>(p)] = x.value;
+  }
+  return l;
+}
+
+Layouts LayoutsOf(const SparseMatrix& m) {
+  Layouts l;
+  l.csr_ptr.push_back(0);
+  for (int32_t i = 0; i < m.rows(); ++i) {
+    l.csr_ptr.push_back(l.csr_ptr.back() + m.RowNnz(i));
+    l.csr_col.insert(l.csr_col.end(), m.RowCols(i), m.RowCols(i) + m.RowNnz(i));
+    l.csr_val.insert(l.csr_val.end(), m.RowVals(i), m.RowVals(i) + m.RowNnz(i));
+  }
+  for (int32_t j = 0; j < m.cols(); ++j) {
+    l.csc_ptr.push_back(m.ColOffset(j));
+    l.csc_row.insert(l.csc_row.end(), m.ColRows(j), m.ColRows(j) + m.ColNnz(j));
+    l.csc_val.insert(l.csc_val.end(), m.ColVals(j), m.ColVals(j) + m.ColNnz(j));
+  }
+  l.csc_ptr.push_back(m.nnz());
+  return l;
+}
+
+// Property: Build on shuffled triplets gives the reference arrays exactly,
+// with empty rows and columns and one row of more than 1,000 entries; and a
+// duplicate pair placed far apart is rejected by its (row, col).
+TEST_P(SparseMatrixPropertyTest, BuildMatchesSortReference) {
+  Rng rng(GetParam() * 7919);
+  const int32_t rows = 50 + static_cast<int32_t>(rng.NextBelow(50));
+  const int32_t cols = 1200 + static_cast<int32_t>(rng.NextBelow(300));
+  const int32_t heavy = 2 * static_cast<int32_t>(rng.NextBelow(rows / 2));
+  std::map<std::pair<int32_t, int32_t>, float> cells;
+  for (int32_t c = 0; c < 1100; ++c) cells[{heavy, c}] = 0.5f * c;
+  for (int i = 0; i < 800; ++i) {
+    // Odd rows and the last column stay empty.
+    const int32_t r = 2 * static_cast<int32_t>(rng.NextBelow(rows / 2));
+    const int32_t c = static_cast<int32_t>(rng.NextBelow(cols - 1));
+    cells[{r, c}] = static_cast<float>(rng.Uniform(-5, 5));
+  }
+  std::vector<Rating> triplets;
+  for (const auto& [rc, v] : cells) {
+    triplets.push_back(Rating{rc.first, rc.second, v});
+  }
+  rng.Shuffle(&triplets);
+
+  auto m = SparseMatrix::Build(rows, cols, triplets);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_GT(m.value().RowNnz(heavy), 1000);
+  EXPECT_EQ(m.value().RowNnz(1), 0);
+  EXPECT_EQ(m.value().ColNnz(cols - 1), 0);
+  EXPECT_TRUE(LayoutsOf(m.value()) == SortReference(rows, cols, triplets));
+
+  // The copy of the first triplet goes last.
+  const Rating dup = triplets.front();
+  triplets.push_back(Rating{dup.row, dup.col, dup.value + 1.0f});
+  auto rejected = SparseMatrix::Build(rows, cols, triplets);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(),
+            StrFormat("duplicate rating at (%d, %d)", dup.row, dup.col));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMatrices, SparseMatrixPropertyTest,

@@ -1,5 +1,8 @@
 #include "util/string_util.h"
 
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace nomad {
@@ -56,6 +59,75 @@ TEST(ParseDoubleTest, Invalid) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("1.2.3").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
+}
+
+// The accepted number format, case by case: status code and value.
+TEST(ParseInt64Test, FormatTable) {
+  const struct {
+    const char* text;
+    StatusCode code;
+    int64_t want;
+  } cases[] = {
+      {"+12", StatusCode::kOk, 12},
+      {"00012", StatusCode::kOk, 12},
+      {"-0", StatusCode::kOk, 0},
+      {"\v7\r", StatusCode::kOk, 7},
+      {"-9223372036854775808", StatusCode::kOk, INT64_MIN},
+      {"9223372036854775808", StatusCode::kOutOfRange, 0},
+      {"-9223372036854775809", StatusCode::kOutOfRange, 0},
+      {"+-1", StatusCode::kInvalidArgument, 0},
+      {"--1", StatusCode::kInvalidArgument, 0},
+      {"0x1", StatusCode::kInvalidArgument, 0},
+      {"1 2", StatusCode::kInvalidArgument, 0},
+      {"\r", StatusCode::kInvalidArgument, 0},
+      {"0000000000000000000000000000000000000000000000000000000000000001",
+       StatusCode::kInvalidArgument, 0},  // 64 characters: too long
+  };
+  for (const auto& c : cases) {
+    const auto r = ParseInt64(c.text);
+    EXPECT_EQ(r.status().code(), c.code) << c.text;
+    if (!r.ok()) continue;
+    EXPECT_EQ(r.value(), c.want) << c.text;
+  }
+}
+
+TEST(ParseDoubleTest, FormatTable) {
+  const struct {
+    const char* text;
+    StatusCode code;
+    double want;
+  } cases[] = {
+      {"+4.5", StatusCode::kOk, 4.5},
+      {"0x1p3", StatusCode::kOk, 8.0},
+      {"-0X.8", StatusCode::kOk, -0.5},
+      {"0x1p-1074", StatusCode::kOk, 0x1p-1074},  // exact subnormal
+      {"4.", StatusCode::kOk, 4.0},
+      {".5", StatusCode::kOk, 0.5},
+      {"1E2", StatusCode::kOk, 100.0},
+      {"00012", StatusCode::kOk, 12.0},
+      {"-0", StatusCode::kOk, -0.0},
+      {"\f2.5", StatusCode::kOk, 2.5},
+      {"2.2250738585072014e-308", StatusCode::kOk, 2.2250738585072014e-308},
+      {"1e-310", StatusCode::kOutOfRange, 0},
+      {"2.2250738585072011e-308", StatusCode::kOutOfRange, 0},
+      {"1e-400", StatusCode::kOutOfRange, 0},
+      {"-1e400", StatusCode::kOutOfRange, 0},
+      {"4.5x", StatusCode::kInvalidArgument, 0},
+      {"1e", StatusCode::kInvalidArgument, 0},
+      {"0x", StatusCode::kInvalidArgument, 0},
+      {"+-1", StatusCode::kInvalidArgument, 0},
+      {"+ 1", StatusCode::kInvalidArgument, 0},
+  };
+  for (const auto& c : cases) {
+    const auto r = ParseDouble(c.text);
+    EXPECT_EQ(r.status().code(), c.code) << c.text;
+    if (!r.ok()) continue;
+    EXPECT_EQ(r.value(), c.want) << c.text;
+    EXPECT_EQ(std::signbit(r.value()), std::signbit(c.want)) << c.text;
+  }
+  EXPECT_TRUE(std::isinf(ParseDouble("+inf").value()));
+  EXPECT_TRUE(std::isinf(ParseDouble("-Infinity").value()));
+  EXPECT_TRUE(std::isnan(ParseDouble("nan(0x1)").value()));
 }
 
 TEST(StartsWithTest, Basic) {
