@@ -353,13 +353,30 @@ TEST(DistNomadCodecTest, RejectsContradictoryCodecSpec) {
 // Fault tolerance
 // ---------------------------------------------------------------------------
 
+#if defined(__SANITIZE_THREAD__)
+#define NOMAD_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define NOMAD_TEST_TSAN 1
+#endif
+#endif
+
+/// ThreadSanitizer runs every thread several times slower, and slower
+/// still on a loaded host, so the heartbeat timeout stretches by this much.
+#ifdef NOMAD_TEST_TSAN
+constexpr double kSanitizerSlowdown = 8.0;
+#else
+constexpr double kSanitizerSlowdown = 1.0;
+#endif
+
 /// Heartbeat knobs fast enough for tests: detection well under a second,
 /// but several intervals of slack so a scheduler hiccup cannot kill a
-/// healthy rank.
+/// healthy rank. Only the timeout scales with the sanitizer: beats stay as
+/// frequent, so a live rank has more chances to be heard in time.
 HeartbeatOptions TestHeartbeat() {
   HeartbeatOptions hb;
   hb.interval_seconds = 0.02;
-  hb.timeout_seconds = 0.25;
+  hb.timeout_seconds = 0.25 * kSanitizerSlowdown;
   return hb;
 }
 
