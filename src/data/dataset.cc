@@ -7,10 +7,17 @@
 namespace nomad {
 
 SparseMatrix TransposeMatrix(const SparseMatrix& m) {
+  // Walking the columns gives the transpose's triplets in row-major order,
+  // which Build takes without sorting.
   std::vector<Rating> flipped;
   flipped.reserve(static_cast<size_t>(m.nnz()));
-  for (const Rating& r : m.ToCoo()) {
-    flipped.push_back(Rating{r.col, r.row, r.value});
+  for (int32_t j = 0; j < m.cols(); ++j) {
+    const int32_t n = m.ColNnz(j);
+    const int32_t* rows = m.ColRows(j);
+    const float* vals = m.ColVals(j);
+    for (int32_t k = 0; k < n; ++k) {
+      flipped.push_back(Rating{j, rows[k], vals[k]});
+    }
   }
   auto result = SparseMatrix::Build(m.cols(), m.rows(), std::move(flipped));
   NOMAD_CHECK(result.ok());  // a valid matrix transposes to a valid matrix

@@ -10,14 +10,18 @@
 namespace nomad {
 
 /// Parses MovieLens/Netflix-style text ratings: one rating per line,
-/// whitespace- or comma-separated `user item rating [timestamp]`, 0- or
-/// 1-based ids (auto-detected as max-based sizing; ids are used verbatim if
-/// 0-based, shifted if `one_based`). Lines starting with '#' or '%' are
-/// comments.
-Result<std::vector<Rating>> ParseRatingsText(const std::string& content,
+/// `user item rating [anything]`, fields separated by runs of spaces, tabs,
+/// commas or colons ("1::2::5::978300760"), 0- or 1-based ids (used
+/// verbatim if 0-based, shifted if `one_based`). Ids read as strtoll and
+/// ratings as strtod read them. Lines that are blank or start with '#' or
+/// '%' are skipped. Every error names its line; with several bad lines,
+/// the first. Inputs of several MiB are parsed on several threads, with
+/// the same result.
+Result<std::vector<Rating>> ParseRatingsText(const std::string& text,
                                              bool one_based);
 
-/// Loads a ratings text file. Dimensions are max(row)+1 × max(col)+1.
+/// Loads a ratings text file. Dimensions are max(row)+1 × max(col)+1. A
+/// file that cannot be opened or read in full is an IOError.
 Result<SparseMatrix> LoadRatingsFile(const std::string& path, bool one_based);
 
 }  // namespace nomad

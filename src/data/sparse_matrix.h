@@ -27,8 +27,10 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Builds both layouts from triplets. Duplicate (row, col) entries are
-  /// rejected (InvalidArgument); out-of-range indices too.
+  /// Builds both layouts from triplets, in any order, in O(nnz + rows +
+  /// cols) time. Duplicate (row, col) entries are rejected
+  /// (InvalidArgument, naming the smallest duplicated pair); out-of-range
+  /// indices too.
   static Result<SparseMatrix> Build(int32_t rows, int32_t cols,
                                     std::vector<Rating> ratings);
 

@@ -9,11 +9,27 @@ Result<Dataset> SplitTrainTest(const SparseMatrix& all, double test_fraction,
   if (test_fraction < 0.0 || test_fraction >= 1.0) {
     return Status::InvalidArgument("test_fraction must be in [0, 1)");
   }
+  // One draw per rating in row-major (CSR) order, then one walk of the rows
+  // into exactly sized train and test lists.
   Rng rng(seed);
+  std::vector<uint8_t> to_test(static_cast<size_t>(all.nnz()));
+  size_t test_nnz = 0;
+  for (uint8_t& t : to_test) {
+    t = rng.NextDouble() < test_fraction;
+    test_nnz += t;
+  }
   std::vector<Rating> train;
   std::vector<Rating> test;
-  for (const Rating& r : all.ToCoo()) {
-    (rng.NextDouble() < test_fraction ? test : train).push_back(r);
+  train.reserve(to_test.size() - test_nnz);
+  test.reserve(test_nnz);
+  size_t p = 0;
+  for (int32_t i = 0; i < all.rows(); ++i) {
+    const int32_t n = all.RowNnz(i);
+    const int32_t* cols = all.RowCols(i);
+    const float* vals = all.RowVals(i);
+    for (int32_t k = 0; k < n; ++k) {
+      (to_test[p++] ? test : train).push_back(Rating{i, cols[k], vals[k]});
+    }
   }
   auto train_m = SparseMatrix::Build(all.rows(), all.cols(), std::move(train));
   if (!train_m.ok()) return train_m.status();
@@ -38,18 +54,27 @@ Result<Dataset> SplitPerUserHoldout(const SparseMatrix& all,
   if (min_train_per_user < 0) {
     return Status::InvalidArgument("min_train_per_user must be >= 0");
   }
+  // How many of row i's ratings go to test.
+  auto test_count = [&](int32_t i) {
+    const int32_t n = all.RowNnz(i);
+    return std::min(static_cast<int>(test_fraction * n),
+                    std::max(0, n - min_train_per_user));
+  };
+  size_t test_nnz = 0;
+  for (int32_t i = 0; i < all.rows(); ++i) {
+    test_nnz += static_cast<size_t>(test_count(i));
+  }
   Rng rng(seed);
   std::vector<Rating> train;
   std::vector<Rating> test;
+  train.reserve(static_cast<size_t>(all.nnz()) - test_nnz);
+  test.reserve(test_nnz);
   std::vector<int> order;
   for (int32_t i = 0; i < all.rows(); ++i) {
     const int32_t n = all.RowNnz(i);
     const int32_t* cols = all.RowCols(i);
     const float* vals = all.RowVals(i);
-    const int max_test = std::max(
-        0, n - min_train_per_user);
-    int want_test = static_cast<int>(test_fraction * n);
-    want_test = std::min(want_test, max_test);
+    const int want_test = test_count(i);
     // Choose `want_test` random positions of this row for the test set.
     order.resize(static_cast<size_t>(n));
     for (int p = 0; p < n; ++p) order[static_cast<size_t>(p)] = p;

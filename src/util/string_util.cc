@@ -32,13 +32,19 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(b, e - b + 1);
 }
 
+// Both parsers take the from_chars fast path where it reads the whole
+// field, and otherwise parse the field again with strto*, so the accepted
+// format and every error stay strto*'s.
+
 Result<int64_t> ParseInt64(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return Status::InvalidArgument("empty integer field");
-  char buf[64];
-  if (s.size() >= sizeof(buf)) {
+  if (static_cast<ptrdiff_t>(s.size()) > kMaxNumberChars) {
     return Status::InvalidArgument("integer field too long");
   }
+  const char* const last = s.data() + s.size();
+  if (int64_t fast = 0; ScanInt64(s.data(), last, &fast) == last) return fast;
+  char buf[kMaxNumberChars + 1];
   std::memcpy(buf, s.data(), s.size());
   buf[s.size()] = '\0';
   errno = 0;
@@ -54,10 +60,12 @@ Result<int64_t> ParseInt64(std::string_view s) {
 Result<double> ParseDouble(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return Status::InvalidArgument("empty float field");
-  char buf[64];
-  if (s.size() >= sizeof(buf)) {
+  if (static_cast<ptrdiff_t>(s.size()) > kMaxNumberChars) {
     return Status::InvalidArgument("float field too long");
   }
+  const char* const last = s.data() + s.size();
+  if (double fast = 0; ScanDouble(s.data(), last, &fast) == last) return fast;
+  char buf[kMaxNumberChars + 1];
   std::memcpy(buf, s.data(), s.size());
   buf[s.size()] = '\0';
   errno = 0;

@@ -1,5 +1,6 @@
 #include "data/loader.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -147,6 +148,65 @@ TEST(ParseRatingsTextTest, AcceptedFormatTable) {
   }
 }
 
+TEST(ParseRatingsTextTest, EveryErrorNamesItsLine) {
+  const struct {
+    const char* text;
+    StatusCode code;
+    const char* message;
+  } cases[] = {
+      {"0 1\n", StatusCode::kInvalidArgument,
+       "line 1: expected 'user item rating'"},
+      {"0 0 1\na b c\n", StatusCode::kInvalidArgument,
+       "line 2: bad integer: 'a'"},
+      {"0 0 1\n# c\n0 x 1\n", StatusCode::kInvalidArgument,
+       "line 3: bad integer: 'x'"},
+      {"0 0 1\n0 1 x\n", StatusCode::kInvalidArgument, "line 2: bad float: 'x'"},
+      {"\n\n0 0 1e-400", StatusCode::kOutOfRange, "line 3: float out of range"},
+      {"0 0 1\n99999999999999999999 0 1\n", StatusCode::kOutOfRange,
+       "line 2: integer out of range"},
+      {"0 0 1\r\n0 0 \r 1\r\n", StatusCode::kInvalidArgument,
+       "line 2: empty float field"},
+  };
+  for (const auto& c : cases) {
+    const auto parsed = ParseRatingsText(c.text, false);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.status().code(), c.code) << c.text;
+    EXPECT_EQ(parsed.status().message(), c.message) << c.text;
+  }
+}
+
+// Several megabytes parse in several chunks; the error on the lowest line
+// wins whichever chunk finishes first.
+TEST(ParseRatingsTextTest, LowestBadLineWinsAcrossChunks) {
+  constexpr int kLines = 200000;  // ~3 MB
+  std::vector<std::string> lines;
+  for (int i = 0; i < kLines; ++i) {
+    lines.push_back(StrFormat("%d %d 3.5", i / 100, i % 100));
+  }
+  auto text_with = [&lines](std::vector<int> bad_lines) {
+    std::vector<std::string> copy = lines;
+    for (int l : bad_lines) copy[static_cast<size_t>(l - 1)] = "1 2 oops";
+    std::string text;
+    for (const std::string& line : copy) text += line + "\n";
+    return text;
+  };
+  const auto good = ParseRatingsText(text_with({}), false);
+  ASSERT_TRUE(good.ok());
+  ASSERT_EQ(good.value().size(), static_cast<size_t>(kLines));
+  EXPECT_EQ(good.value()[kLines - 1], (Rating{1999, 99, 3.5f}));
+
+  const int early = kLines * 2 / 5;  // the second of two or three chunks
+  const int late = kLines * 9 / 10;  // the last chunk
+  for (const auto& bad : std::vector<std::vector<int>>{
+           {early, late}, {early}, {late}, {3, late}}) {
+    const int lowest = *std::min_element(bad.begin(), bad.end());
+    const auto parsed = ParseRatingsText(text_with(bad), false);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().message(),
+              StrFormat("line %d: bad float: 'oops'", lowest));
+  }
+}
+
 // FNV-1a over both layouts of `m`, so equal fingerprints mean equal arrays.
 uint64_t Fingerprint(const SparseMatrix& m) {
   uint64_t h = 1469598103934665603ULL;
@@ -236,6 +296,13 @@ TEST(LoadRatingsFileTest, LoadsAndSizes) {
   EXPECT_EQ(m.value().rows(), 3);
   EXPECT_EQ(m.value().cols(), 4);
   EXPECT_EQ(m.value().nnz(), 3);
+}
+
+TEST(LoadRatingsFileTest, UnreadableFileIsIOError) {
+  // A directory opens, and only the read fails.
+  auto m = LoadRatingsFile(::testing::TempDir(), false);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kIOError) << m.status().ToString();
 }
 
 TEST(LoadRatingsFileTest, MissingFileIsIOError) {

@@ -156,6 +156,10 @@ TEST_P(SparseMatrixPropertyTest, RowsWithinColumnsAscend) {
   }
 }
 
+bool RowMajorLess(const Rating& a, const Rating& b) {
+  return a.row != b.row ? a.row < b.row : a.col < b.col;
+}
+
 // Reference construction: a comparator sort of all triplets, then CSR
 // straight from the sorted order and CSC by a stable counting pass.
 struct Layouts {
@@ -166,9 +170,7 @@ struct Layouts {
 };
 
 Layouts SortReference(int32_t rows, int32_t cols, std::vector<Rating> r) {
-  std::sort(r.begin(), r.end(), [](const Rating& a, const Rating& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  std::sort(r.begin(), r.end(), RowMajorLess);
   Layouts l;
   l.csr_ptr.assign(static_cast<size_t>(rows) + 1, 0);
   l.csc_ptr.assign(static_cast<size_t>(cols) + 1, 0);
@@ -235,7 +237,18 @@ TEST_P(SparseMatrixPropertyTest, BuildMatchesSortReference) {
   EXPECT_GT(m.value().RowNnz(heavy), 1000);
   EXPECT_EQ(m.value().RowNnz(1), 0);
   EXPECT_EQ(m.value().ColNnz(cols - 1), 0);
-  EXPECT_TRUE(LayoutsOf(m.value()) == SortReference(rows, cols, triplets));
+  const Layouts want = SortReference(rows, cols, triplets);
+  EXPECT_TRUE(LayoutsOf(m.value()) == want);
+  // Rows in order with columns shuffled within them, then row-major input
+  // (which Build takes as CSR directly).
+  std::vector<Rating> ordered = triplets;
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const Rating& a, const Rating& b) { return a.row < b.row; });
+  EXPECT_TRUE(LayoutsOf(SparseMatrix::Build(rows, cols, ordered).value()) ==
+              want);
+  std::sort(ordered.begin(), ordered.end(), RowMajorLess);
+  EXPECT_TRUE(LayoutsOf(SparseMatrix::Build(rows, cols, ordered).value()) ==
+              want);
 
   // The copy of the first triplet goes last.
   const Rating dup = triplets.front();
@@ -243,6 +256,12 @@ TEST_P(SparseMatrixPropertyTest, BuildMatchesSortReference) {
   auto rejected = SparseMatrix::Build(rows, cols, triplets);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(),
+            StrFormat("duplicate rating at (%d, %d)", dup.row, dup.col));
+  // The same duplicate in row-major input, where the pair are neighbours.
+  std::stable_sort(triplets.begin(), triplets.end(), RowMajorLess);
+  rejected = SparseMatrix::Build(rows, cols, triplets);
+  ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().message(),
             StrFormat("duplicate rating at (%d, %d)", dup.row, dup.col));
 }
