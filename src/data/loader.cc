@@ -14,6 +14,7 @@
 #include <system_error>
 #include <thread>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace nomad {
@@ -149,13 +150,14 @@ Status ParseLine(const char* p, const char* e, int64_t line_no, bool one_based,
   return Status::OK();
 }
 
-// A run of whole lines. Its ratings go to slots [first_line, first_line +
-// lines) of the output, one slot per line; `written` of them are used.
+// A run of whole lines. Its ratings go to its `slots` slots of the output,
+// from `first_slot` on; `written` of them are used.
 struct Chunk {
   const char* begin = nullptr;
   const char* end = nullptr;
   int64_t first_line = 0;  // 0-based index of its first line in the text
-  int64_t lines = 0;
+  int64_t first_slot = 0;
+  int64_t slots = 0;
   int64_t written = 0;
   Status status;  // the chunk's first error; parsing stops there
 };
@@ -251,21 +253,30 @@ Result<std::vector<Rating>> ParseRatingsText(const std::string& text,
     cut = nl == nullptr ? text_end : static_cast<const char*>(nl) + 1;
     chunks[k].end = cut;
   }
-  ForEachChunk(num_chunks, [&chunks](size_t k) {
-    Chunk& c = chunks[k];
-    c.lines = CountNewlines(c.begin, c.end);
-    if (c.begin < c.end && c.end[-1] != '\n') ++c.lines;  // last, unended
+  std::vector<int64_t> lines(num_chunks);
+  ForEachChunk(num_chunks, [&chunks, &lines](size_t k) {
+    const Chunk& c = chunks[k];
+    lines[k] = CountNewlines(c.begin, c.end);
+    if (c.begin < c.end && c.end[-1] != '\n') ++lines[k];  // last, unended
   });
+  // A slot per line, but no more than the chunk could hold of the shortest
+  // rating line ("0 0 0\n", the last one maybe without its newline), so
+  // that blank lines cannot inflate the vector past twice the text.
   int64_t total_lines = 0;
-  for (Chunk& c : chunks) {
+  int64_t total_slots = 0;
+  for (size_t k = 0; k < num_chunks; ++k) {
+    Chunk& c = chunks[k];
     c.first_line = total_lines;
-    total_lines += c.lines;
+    c.first_slot = total_slots;
+    c.slots = std::min(lines[k], (c.end - c.begin + 1) / 6);
+    total_lines += lines[k];
+    total_slots += c.slots;
   }
 
-  std::vector<Rating> out(static_cast<size_t>(total_lines));
+  std::vector<Rating> out(static_cast<size_t>(total_slots));
   ForEachChunk(num_chunks, [&chunks, &out, one_based](size_t k) {
     Chunk& c = chunks[k];
-    Rating* slot = out.data() + c.first_line;
+    Rating* slot = out.data() + c.first_slot;
     int64_t line_no = c.first_line;
     for (const char* p = c.begin; p < c.end;) {
       const void* nl = std::memchr(p, '\n', static_cast<size_t>(c.end - p));
@@ -278,6 +289,7 @@ Result<std::vector<Rating>> ParseRatingsText(const std::string& text,
         return;
       }
       c.written += is_rating ? 1 : 0;
+      NOMAD_DCHECK(c.written <= c.slots);
       p = eol + 1;
     }
   });
@@ -285,7 +297,7 @@ Result<std::vector<Rating>> ParseRatingsText(const std::string& text,
   size_t size = 0;
   for (const Chunk& c : chunks) {
     if (!c.status.ok()) return c.status;
-    std::copy_n(out.begin() + c.first_line, c.written, out.begin() + size);
+    std::copy_n(out.begin() + c.first_slot, c.written, out.begin() + size);
     size += static_cast<size_t>(c.written);
   }
   out.resize(size);

@@ -207,6 +207,29 @@ TEST(ParseRatingsTextTest, LowestBadLineWinsAcrossChunks) {
   }
 }
 
+// Lines as short as a rating can be fill every slot the parser sets aside;
+// a flood of blank lines still numbers the line after it right.
+TEST(ParseRatingsTextTest, ShortestLinesAndBlankFloods) {
+  constexpr int kLines = 600000;  // ~3.6 MB
+  std::string shortest;
+  for (int i = 0; i < kLines; ++i) shortest += "0 0 1\n";
+  shortest += "9 9 9";  // unended
+  const auto parsed = ParseRatingsText(shortest, false);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().size(), static_cast<size_t>(kLines) + 1);
+  EXPECT_EQ(parsed.value().back(), (Rating{9, 9, 9.0f}));
+
+  std::string blanks(3 << 20, '\n');
+  const auto one = ParseRatingsText(blanks + "1 2 3\n", false);
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one.value().size(), 1u);
+  EXPECT_EQ(one.value()[0], (Rating{1, 2, 3.0f}));
+  const auto bad = ParseRatingsText(blanks + "1 2 x", false);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            StrFormat("line %d: bad float: 'x'", (3 << 20) + 1));
+}
+
 // FNV-1a over both layouts of `m`, so equal fingerprints mean equal arrays.
 uint64_t Fingerprint(const SparseMatrix& m) {
   uint64_t h = 1469598103934665603ULL;
