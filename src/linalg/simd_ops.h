@@ -50,7 +50,8 @@ using KernelTable = KernelTableT<double>;
 using KernelTableF = KernelTableT<float>;
 
 /// Portable scalar reference kernels (also the correctness oracle for
-/// simd_ops_test and the baseline side of bench_kernel_throughput).
+/// simd_ops_test, and what NOMAD_DISABLE_SIMD=1 selects at runtime for a
+/// scalar-vs-SIMD A/B, see docs/BENCHMARKS.md).
 /// Defined for T in {float, double}.
 template <typename T>
 const KernelTableT<T>& ScalarTable();

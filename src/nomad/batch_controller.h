@@ -24,8 +24,8 @@ int EffectiveMaxBatch(int64_t cols, int num_workers, int64_t requested);
 /// decrease sheds a quarter of the batch per starvation signal — strong
 /// enough that a starving worker drops to token-at-a-time in O(log batch)
 /// signals, gentle enough that one scheduling hiccup does not erase a
-/// well-earned batch (measured in bench_batch_autotune: with halving the
-/// controller equilibrates visibly below the best fixed setting).
+/// well-earned batch (in a fixed-vs-auto hand-off sweep, halving made the
+/// controller equilibrate visibly below the best fixed setting).
 struct BatchControllerConfig {
   int min_batch = 1;   ///< Lower clamp; 1 = the paper's token-at-a-time.
   int max_batch = 32;  ///< Upper clamp (pass through EffectiveMaxBatch).

@@ -8,6 +8,16 @@
 
 namespace nomad {
 
+Status ValidateSimTrainOptions(const TrainOptions& train,
+                               const std::string& solver_name) {
+  NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(train));
+  if (train.loss != "squared" && !train.loss.empty()) {
+    return Status::InvalidArgument(solver_name +
+                                   " supports only the squared loss");
+  }
+  return Status::OK();
+}
+
 std::vector<std::string> SimSolverNames() {
   return {"sim_nomad", "sim_dsgd", "sim_dsgdpp", "sim_ccdpp", "sim_lock_als"};
 }

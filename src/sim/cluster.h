@@ -89,6 +89,12 @@ class SimSolver {
                                   const SimOptions& options) = 0;
 };
 
+/// Validates the TrainOptions every simulated solver reads: the common
+/// fields, plus the loss. The simulators run squared-loss updates only, so
+/// any other loss is rejected rather than silently trained as squared.
+Status ValidateSimTrainOptions(const TrainOptions& train,
+                               const std::string& solver_name);
+
 /// {"sim_nomad", "sim_dsgd", "sim_dsgdpp", "sim_ccdpp", "sim_lock_als"}.
 std::vector<std::string> SimSolverNames();
 Result<std::unique_ptr<SimSolver>> MakeSimSolver(const std::string& name);

@@ -24,7 +24,7 @@ struct Token {
 
 Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
                                         const SimOptions& options) {
-  NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options.train));
+  NOMAD_RETURN_IF_ERROR(ValidateSimTrainOptions(options.train, Name()));
   const TrainOptions& train = options.train;
   const ClusterConfig& cluster = options.cluster;
   const NetworkModel& net = options.network;

@@ -79,7 +79,7 @@ struct TrainOptions {
   /// "absolute", "huber", or "logistic" (ratings in {-1,+1}). Supported by
   /// the SGD-family solvers (nomad, serial_sgd, hogwild); the closed-form
   /// baselines (ALS, CCD++) are squared-loss by construction and reject
-  /// other values.
+  /// other values, as do the simulated solvers (src/sim/).
   std::string loss = "squared";
 
   // -- Step-size schedule, Eq. (11) (SGD family) --

@@ -248,13 +248,13 @@ TEST(DistNomadTest, EmptyTrainingSetEvaluatesAndReturns) {
 /// The annealed parity dataset + schedule (see the parity test above):
 /// fault-free seed-to-seed spread is well under 1e-3, so RMSE deltas at
 /// that scale are attributable to the thing under test, not SGD noise.
-Dataset AnnealedDataset(const char* name) {
+Dataset AnnealedDataset(const char* name, int true_rank = 4) {
   SyntheticConfig config;
   config.name = name;
   config.rows = 600;
   config.cols = 300;
   config.nnz = 24000;
-  config.true_rank = 4;
+  config.true_rank = true_rank;
   config.noise_std = 0.1;
   config.test_fraction = 0.15;
   config.seed = 90;
@@ -263,10 +263,23 @@ Dataset AnnealedDataset(const char* name) {
   return std::move(generated).value();
 }
 
-DistNomadOptions AnnealedOptions() {
+/// Post-codec transport bytes per circulated token, summed over the
+/// per-rank traffic table rank 0 reports.
+double BytesPerToken(const TrainResult& r) {
+  int64_t bytes = 0, tokens = 0;
+  for (const RankTrafficStats& t : r.rank_traffic) {
+    bytes += t.bytes_sent;
+    tokens += t.tokens_sent;
+  }
+  EXPECT_GT(tokens, 0);
+  return tokens > 0 ? static_cast<double>(bytes) / static_cast<double>(tokens)
+                    : 0.0;
+}
+
+DistNomadOptions AnnealedOptions(int rank = 4) {
   DistNomadOptions o;
   o.train = FastTrainOptions(/*epochs=*/400, /*workers=*/2);
-  o.train.rank = 4;
+  o.train.rank = rank;
   o.train.lambda = 0.02;
   o.train.alpha = 0.15;
   o.train.beta = 0.002;
@@ -296,27 +309,39 @@ TEST(DistNomadCodecTest, Bf16DeltaMatchesUncompressedRmseWithFewerBytes) {
   // rank_traffic counts post-codec transport bytes, so the savings show up
   // directly. At k=4/f64, bf16 alone halves a token frame (48 -> 24 bytes)
   // and deltas shrink repeat h-row broadcasts further; control traffic is
-  // untouched, so demand a conservative 25% overall reduction here and
-  // leave the calibrated >= 2x bytes-per-token bar to bench_dist_traffic
-  // at realistic k.
-  int64_t plain_bytes = 0, plain_tokens = 0;
-  int64_t coded_bytes = 0, coded_tokens = 0;
+  // untouched, so demand a conservative 25% overall reduction here. The
+  // >= 2x bar at realistic k is the next test's.
   ASSERT_EQ(plain[0].rank_traffic.size(), 4u);
   ASSERT_EQ(coded[0].rank_traffic.size(), 4u);
-  for (int r = 0; r < 4; ++r) {
-    plain_bytes += plain[0].rank_traffic[static_cast<size_t>(r)].bytes_sent;
-    plain_tokens += plain[0].rank_traffic[static_cast<size_t>(r)].tokens_sent;
-    coded_bytes += coded[0].rank_traffic[static_cast<size_t>(r)].bytes_sent;
-    coded_tokens += coded[0].rank_traffic[static_cast<size_t>(r)].tokens_sent;
-  }
-  ASSERT_GT(plain_tokens, 0);
-  ASSERT_GT(coded_tokens, 0);
-  const double plain_bpt =
-      static_cast<double>(plain_bytes) / static_cast<double>(plain_tokens);
-  const double coded_bpt =
-      static_cast<double>(coded_bytes) / static_cast<double>(coded_tokens);
+  const double plain_bpt = BytesPerToken(plain[0]);
+  const double coded_bpt = BytesPerToken(coded[0]);
   EXPECT_LT(coded_bpt, 0.75 * plain_bpt)
       << "plain " << plain_bpt << " bytes/token vs coded " << coded_bpt;
+}
+
+// The calibrated compression bar at realistic k: with k=8 f64 token frames
+// shrink 80 -> 32 bytes under bf16 before delta savings, so bf16+delta
+// must at least halve transport bytes per circulated token on a 2-rank
+// world, at an RMSE cost under 1e-3 (on the annealed planted run the
+// none-vs-bf16+delta gap stays under ~6e-4 run to run, so a miss means
+// the codec got lossier or stopped compressing, not SGD noise).
+TEST(DistNomadCodecTest, Bf16DeltaHalvesBytesPerTokenAtRank8) {
+  const Dataset ds = AnnealedDataset("codec-annealed-planted", /*true_rank=*/8);
+  DistNomadOptions o = AnnealedOptions(/*rank=*/8);
+
+  auto plain = RunLoopbackWorld(ds, o, 2);
+  ASSERT_EQ(plain.size(), 2u);
+  o.wire_codec = WireCodecSpec::Parse("bf16+delta").value();
+  auto coded = RunLoopbackWorld(ds, o, 2);
+  ASSERT_EQ(coded.size(), 2u);
+  ASSERT_EQ(plain[0].rank_traffic.size(), 2u);
+  ASSERT_EQ(coded[0].rank_traffic.size(), 2u);
+
+  const double plain_bpt = BytesPerToken(plain[0]);
+  const double coded_bpt = BytesPerToken(coded[0]);
+  EXPECT_LE(coded_bpt, 0.5 * plain_bpt)
+      << "plain " << plain_bpt << " bytes/token vs coded " << coded_bpt;
+  EXPECT_NEAR(coded[0].trace.FinalRmse(), plain[0].trace.FinalRmse(), 1e-3);
 }
 
 // Batching composes with quantization on a real protocol run: the driver's

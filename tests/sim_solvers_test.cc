@@ -82,6 +82,22 @@ TEST_P(AllSimSolversTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.train.total_seconds, b.train.total_seconds) << name;
 }
 
+// The simulators run squared-loss updates only: a different loss must be
+// an error, not a run that silently trains squared loss.
+TEST_P(AllSimSolversTest, RejectsNonSquaredLoss) {
+  const std::string name = GetParam();
+  const Dataset ds = MakeTestDataset(200, 40, 4000, 57);
+  auto solver = MakeSimSolver(name).value();
+  SimOptions options = BasicSimOptions(2, 1);
+  for (const char* loss : {"huber", "absolute", "logistic"}) {
+    options.train.loss = loss;
+    auto result = solver->Train(ds, options);
+    ASSERT_FALSE(result.ok()) << name << " accepted loss " << loss;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << name << ": " << result.status().ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSimSolvers, AllSimSolversTest,
                          ::testing::Values("sim_nomad", "sim_dsgd",
                                            "sim_dsgdpp", "sim_ccdpp",

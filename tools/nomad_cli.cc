@@ -260,6 +260,9 @@ int CmdSimulate(const Flags& flags) {
   SimOptions options = bench::MakeSimOptions(
       commodity ? bench::Preset::kCommodity : bench::Preset::kHpc, preset,
       solver_name, machines, rank, epochs);
+  // The simulators train squared loss only; passing --loss through lets
+  // them reject any other value instead of ignoring it.
+  options.train.loss = flags.GetString("loss", "squared");
   // The simulator runs in virtual time with no registry instrumentation,
   // so its timeline rows carry trace fields with empty deltas.
   obs::RunTimeline timeline(nullptr);
