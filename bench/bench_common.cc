@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "data/loader.h"
 #include "data/splitter.h"
@@ -10,18 +11,14 @@
 namespace nomad {
 namespace bench {
 
+Result<Dataset> LoadPreset(const std::string& name, double scale) {
+  auto config = MiniConfigByName(name, scale);
+  if (!config.ok()) return config.status();
+  return GenerateSynthetic(config.value());
+}
+
 Dataset GetDataset(const std::string& name, double scale) {
-  SyntheticConfig config;
-  if (name == "netflix") {
-    config = NetflixMiniConfig(scale);
-  } else if (name == "yahoo") {
-    config = YahooMiniConfig(scale);
-  } else if (name == "hugewiki") {
-    config = HugewikiMiniConfig(scale);
-  } else {
-    NOMAD_CHECK(false) << "unknown dataset: " << name;
-  }
-  auto ds = GenerateSynthetic(config);
+  auto ds = LoadPreset(name, scale);
   NOMAD_CHECK(ds.ok()) << ds.status().ToString();
   return std::move(ds).value();
 }
@@ -38,7 +35,7 @@ Result<Dataset> LoadDatasetFromFlags(const Flags& flags) {
                           input);
   }
   if (!preset.empty()) {
-    return GetDataset(preset, flags.GetDouble("scale", 0.25));
+    return LoadPreset(preset, flags.GetDouble("scale", 0.25));
   }
   return Status::InvalidArgument("pass --input <file> or --preset <name>");
 }

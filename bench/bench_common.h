@@ -29,7 +29,12 @@ struct MiniParams {
 };
 
 /// Looks up the miniature of a paper dataset ("netflix", "yahoo",
-/// "hugewiki") at the given scale and generates it. Aborts on bad name.
+/// "hugewiki") at the given scale and generates it; InvalidArgument
+/// listing the known names for any other name (MiniConfigByName).
+Result<Dataset> LoadPreset(const std::string& name, double scale);
+
+/// LoadPreset for the bench binaries, which name their datasets in code:
+/// aborts on a bad name.
 Dataset GetDataset(const std::string& name, double scale);
 
 /// The dataset-flag contract shared by the CLIs (nomad_cli,

@@ -1,14 +1,52 @@
 #include "baselines/als.h"
 
-#include <memory>
 #include <utility>
-#include <vector>
 
-#include "linalg/cholesky.h"
 #include "solver/run_recorder.h"
-#include "util/thread_pool.h"
 
 namespace nomad {
+
+template <typename Real>
+AlsEngineT<Real>::AlsEngineT(const SparseMatrix& train, double lambda,
+                             FactorMatrixT<Real>* w, FactorMatrixT<Real>* h,
+                             ThreadPool* pool)
+    : train_(train), lambda_(lambda), w_(w), h_(h), pool_(pool) {
+  const int shards = pool == nullptr ? 1 : pool->num_threads();
+  for (int q = 0; q < shards; ++q) {
+    scratch_.push_back(std::make_unique<NormalEquations>(w->cols()));
+  }
+}
+
+template <typename Real>
+void AlsEngineT<Real>::SweepEpoch() {
+  // Solves every row of `out` against the `fixed` rows its line of the
+  // rating matrix touches: by rows (CSR) for W, by columns (CSC) for H.
+  const auto half_sweep = [&](bool by_row, const FactorMatrixT<Real>& fixed,
+                              FactorMatrixT<Real>* out) {
+    const int64_t lines = by_row ? train_.rows() : train_.cols();
+    ParallelForShards(pool_, 0, lines, [&](int shard, int64_t begin,
+                                           int64_t end) {
+      NormalEquations& ne = *scratch_[static_cast<size_t>(shard)];
+      for (int64_t i = begin; i < end; ++i) {
+        const int32_t line = static_cast<int32_t>(i);
+        const int32_t n = by_row ? train_.RowNnz(line) : train_.ColNnz(line);
+        if (n == 0) continue;
+        const int32_t* idx =
+            by_row ? train_.RowCols(line) : train_.ColRows(line);
+        const float* vals =
+            by_row ? train_.RowVals(line) : train_.ColVals(line);
+        ne.Reset();
+        for (int32_t t = 0; t < n; ++t) ne.Add(fixed.Row(idx[t]), vals[t]);
+        ne.Solve(lambda_ * n, out->Row(line));
+      }
+    });
+  };
+  half_sweep(/*by_row=*/true, *h_, w_);   // all w_i with H fixed
+  half_sweep(/*by_row=*/false, *w_, h_);  // all h_j with W fixed
+}
+
+template class AlsEngineT<float>;
+template class AlsEngineT<double>;
 
 namespace {
 
@@ -26,57 +64,14 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> w;
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
-  const int k = options.rank;
-  const double lambda = options.lambda;
-  const SparseMatrix& train = ds.train;
 
   ThreadPool pool(options.num_workers);
-  // One normal-equation accumulator per pool shard to avoid re-allocation.
-  // The accumulators and the Cholesky solve stay double even for float
-  // factors (see NormalEquations); only the stored rows are Real.
-  std::vector<std::unique_ptr<NormalEquations>> scratch;
-  for (int q = 0; q < options.num_workers; ++q) {
-    scratch.push_back(std::make_unique<NormalEquations>(k));
-  }
-
+  AlsEngineT<Real> engine(ds.train, options.lambda, &w, &h, &pool);
   EpochLoopT<Real> loop(ds, options, w, h, &result, &pool);
   while (loop.Continue()) {
-    // Update all w_i with H fixed.
-    ParallelForShards(&pool, 0, train.rows(),
-                      [&](int shard, int64_t begin, int64_t end) {
-                        NormalEquations& ne = *scratch[static_cast<size_t>(shard)];
-                        for (int64_t i = begin; i < end; ++i) {
-                          const int32_t row = static_cast<int32_t>(i);
-                          const int32_t n = train.RowNnz(row);
-                          if (n == 0) continue;
-                          const int32_t* cols = train.RowCols(row);
-                          const float* vals = train.RowVals(row);
-                          ne.Reset();
-                          for (int32_t t = 0; t < n; ++t) {
-                            ne.Add(h.Row(cols[t]), vals[t]);
-                          }
-                          ne.Solve(lambda * n, w.Row(row));
-                        }
-                      });
-    // Update all h_j with W fixed.
-    ParallelForShards(&pool, 0, train.cols(),
-                      [&](int shard, int64_t begin, int64_t end) {
-                        NormalEquations& ne = *scratch[static_cast<size_t>(shard)];
-                        for (int64_t j = begin; j < end; ++j) {
-                          const int32_t col = static_cast<int32_t>(j);
-                          const int32_t n = train.ColNnz(col);
-                          if (n == 0) continue;
-                          const int32_t* rows = train.ColRows(col);
-                          const float* vals = train.ColVals(col);
-                          ne.Reset();
-                          for (int32_t t = 0; t < n; ++t) {
-                            ne.Add(w.Row(rows[t]), vals[t]);
-                          }
-                          ne.Solve(lambda * n, h.Row(col));
-                        }
-                      });
+    engine.SweepEpoch();
     // Work accounting: one least-squares "update" per row and per column.
-    loop.EndEpoch(train.rows() + train.cols());
+    loop.EndEpoch(ds.train.rows() + ds.train.cols());
   }
   StoreTrainedFactors(std::move(w), std::move(h), &result);
   return result;

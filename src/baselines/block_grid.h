@@ -39,8 +39,6 @@ class BlockGrid {
                    static_cast<size_t>(cb)];
   }
 
-  int64_t TotalEntries() const;
-
  private:
   int row_blocks_ = 0;
   int col_blocks_ = 0;
@@ -69,12 +67,6 @@ inline BlockGrid BlockGrid::Build(const SparseMatrix& train,
     }
   }
   return g;
-}
-
-inline int64_t BlockGrid::TotalEntries() const {
-  int64_t total = 0;
-  for (const auto& b : blocks_) total += static_cast<int64_t>(b.size());
-  return total;
 }
 
 }  // namespace nomad

@@ -1,47 +1,23 @@
 #include "baselines/dsgd.h"
 
 #include <utility>
-#include <vector>
 
-#include "baselines/block_grid.h"
+#include "baselines/stratified_sgd.h"
 #include "solver/run_recorder.h"
-#include "solver/sgd_kernel.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace nomad {
 
 namespace {
 
-/// Runs SGD over one block in a fresh random order. Used by both DSGD and
-/// DSGD++.
-template <typename Real>
-void ProcessBlock(const std::vector<BlockEntry>& block,
-                  const UpdateKernelT<Real>& kernel, StepCounts* counts,
-                  bool bold, double bold_step, FactorMatrixT<Real>* w,
-                  FactorMatrixT<Real>* h, Rng* rng) {
-  std::vector<int32_t> order(block.size());
-  for (size_t i = 0; i < block.size(); ++i) {
-    order[i] = static_cast<int32_t>(i);
-  }
-  rng->Shuffle(&order);
-  for (int32_t idx : order) {
-    const BlockEntry& e = block[static_cast<size_t>(idx)];
-    if (bold) {
-      kernel.ApplyWithStep(e.value, bold_step, w->Row(e.row), h->Row(e.col));
-    } else {
-      kernel.Apply(e.value, counts, e.pos, w->Row(e.row), h->Row(e.col));
-    }
-  }
-}
-
+/// DSGD (`blocks_per_worker` = 1) and DSGD++ (2): p row blocks by
+/// p·blocks_per_worker column blocks over a pool of p threads.
 template <typename Real>
 Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
-                              const std::string& name) {
+                              const std::string& name, int blocks_per_worker) {
   NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  auto made = MakeUpdateKernel<Real>(options);
-  if (!made.ok()) return made.status();
-  const UpdateKernelT<Real> kernel = std::move(made).value();
+  auto kernel = MakeUpdateKernel<Real>(options);
+  if (!kernel.ok()) return kernel.status();
 
   TrainResult result;
   result.solver_name = name;
@@ -50,33 +26,14 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
   FactorMatrixT<Real> h;
   InitFactorsT<Real>(ds, options, &w, &h);
   const int p = options.num_workers;
-
-  const UserPartition row_part = UserPartition::ByRatings(ds.train, p);
-  const UserPartition col_part = UserPartition::ByRows(ds.cols, p);
-  const BlockGrid grid = BlockGrid::Build(ds.train, row_part, col_part);
-
-  StepCounts counts(ds.train.nnz());
-  BoldDriver driver(options.alpha);
   ThreadPool pool(p);
+  StratifiedSgdT<Real> engine(ds.train, p, blocks_per_worker * p,
+                              std::move(kernel).value(), options, &w, &h,
+                              &pool);
   EpochLoopT<Real> loop(ds, options, w, h, &result, &pool);
-  int epoch = 0;
   while (loop.Continue()) {
-    for (int s = 0; s < p; ++s) {
-      for (int q = 0; q < p; ++q) {
-        const int cb = (q + s + epoch) % p;
-        pool.Submit([&, q, cb] {
-          Rng rng(options.seed + 31ULL * static_cast<uint64_t>(epoch) +
-                  17ULL * static_cast<uint64_t>(q) +
-                  static_cast<uint64_t>(cb));
-          ProcessBlock(grid.Block(q, cb), kernel, &counts,
-                       options.bold_driver, driver.step(), &w, &h, &rng);
-        });
-      }
-      pool.Wait();  // the bulk-synchronization barrier
-    }
-    const double obj = loop.EndEpoch(ds.train.nnz(), options.bold_driver);
-    if (options.bold_driver) driver.EndEpoch(obj);
-    ++epoch;
+    engine.SweepEpoch();
+    engine.EndEpoch(loop.EndEpoch(ds.train.nnz(), options.bold_driver));
   }
   StoreTrainedFactors(std::move(w), std::move(h), &result);
   return result;
@@ -87,7 +44,14 @@ Result<TrainResult> TrainImpl(const Dataset& ds, const TrainOptions& options,
 Result<TrainResult> DsgdSolver::Train(const Dataset& ds,
                                       const TrainOptions& options) {
   return DispatchPrecision(options.precision, [&](auto zero) {
-    return TrainImpl<decltype(zero)>(ds, options, Name());
+    return TrainImpl<decltype(zero)>(ds, options, Name(), 1);
+  });
+}
+
+Result<TrainResult> DsgdppSolver::Train(const Dataset& ds,
+                                        const TrainOptions& options) {
+  return DispatchPrecision(options.precision, [&](auto zero) {
+    return TrainImpl<decltype(zero)>(ds, options, Name(), 2);
   });
 }
 

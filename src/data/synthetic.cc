@@ -181,6 +181,15 @@ SyntheticConfig HugewikiMiniConfig(double scale) {
                       /*ratings_per_item=*/2000, scale, 0.5, 0.4, 103);
 }
 
+Result<SyntheticConfig> MiniConfigByName(const std::string& name,
+                                         double scale) {
+  if (name == "netflix") return NetflixMiniConfig(scale);
+  if (name == "yahoo") return YahooMiniConfig(scale);
+  if (name == "hugewiki") return HugewikiMiniConfig(scale);
+  return Status::InvalidArgument("unknown preset '" + name +
+                                 "' (known: netflix, yahoo, hugewiki)");
+}
+
 SyntheticConfig WeakScalingConfig(int machines, double scale) {
   NOMAD_CHECK_GT(machines, 0);
   // Sec. 5.5: items fixed (17,770 in the paper), users and ratings grow

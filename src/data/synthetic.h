@@ -48,6 +48,12 @@ SyntheticConfig NetflixMiniConfig(double scale = 1.0);
 SyntheticConfig YahooMiniConfig(double scale = 1.0);
 SyntheticConfig HugewikiMiniConfig(double scale = 1.0);
 
+/// The miniature named "netflix", "yahoo" or "hugewiki" (the CLIs'
+/// `--preset`) at `scale`; InvalidArgument listing the known names for any
+/// other name.
+Result<SyntheticConfig> MiniConfigByName(const std::string& name,
+                                         double scale = 1.0);
+
 /// The Sec. 5.5 weak-scaling workload: the number of items is fixed, the
 /// number of users (and hence ratings) grows proportionally to `machines`.
 SyntheticConfig WeakScalingConfig(int machines, double scale = 1.0);

@@ -2,7 +2,6 @@
 
 #include "sim/solvers/sim_ccdpp.h"
 #include "sim/solvers/sim_dsgd.h"
-#include "sim/solvers/sim_dsgdpp.h"
 #include "sim/solvers/sim_lock_als.h"
 #include "sim/solvers/sim_nomad.h"
 

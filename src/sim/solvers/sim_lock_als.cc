@@ -1,8 +1,6 @@
 #include "sim/solvers/sim_lock_als.h"
 
-#include <memory>
-
-#include "linalg/cholesky.h"
+#include "baselines/als.h"
 
 namespace nomad {
 
@@ -28,8 +26,8 @@ Result<SimResult> SimLockAlsSolver::Train(const Dataset& ds,
   SimResult result;
   result.train.solver_name = Name();
   InitFactors(ds, train, &result.train.w, &result.train.h);
-  FactorMatrix& w = result.train.w;
-  FactorMatrix& h = result.train.h;
+  AlsEngineT<double> engine(ds.train, train.lambda, &result.train.w,
+                            &result.train.h, /*pool=*/nullptr);
 
   const double sec_per_flop =
       cluster.update_seconds_per_dim / kFlopsPerDim;
@@ -58,28 +56,9 @@ Result<SimResult> SimLockAlsSolver::Train(const Dataset& ds,
 
   const double epoch_seconds = compute_seconds + lock_seconds;
 
-  std::unique_ptr<NormalEquations> ne = std::make_unique<NormalEquations>(k);
   VirtualEpochLoop loop(ds, options, &result);
   while (loop.Continue()) {
-    // The actual ALS sweeps (Eq. 3), executed exactly.
-    for (int32_t i = 0; i < ds.train.rows(); ++i) {
-      const int32_t n = ds.train.RowNnz(i);
-      if (n == 0) continue;
-      const int32_t* cols = ds.train.RowCols(i);
-      const float* vals = ds.train.RowVals(i);
-      ne->Reset();
-      for (int32_t t = 0; t < n; ++t) ne->Add(h.Row(cols[t]), vals[t]);
-      ne->Solve(train.lambda * n, w.Row(i));
-    }
-    for (int32_t j = 0; j < ds.train.cols(); ++j) {
-      const int32_t n = ds.train.ColNnz(j);
-      if (n == 0) continue;
-      const int32_t* rows = ds.train.ColRows(j);
-      const float* vals = ds.train.ColVals(j);
-      ne->Reset();
-      for (int32_t t = 0; t < n; ++t) ne->Add(w.Row(rows[t]), vals[t]);
-      ne->Solve(train.lambda * n, h.Row(j));
-    }
+    engine.SweepEpoch();
     if (m_machines > 1) {
       result.messages += static_cast<int64_t>(2 * nnz * remote_fraction);
       result.bytes += 2.0 * nnz * remote_fraction * k * 8.0;

@@ -10,8 +10,9 @@ namespace nomad {
 ///
 /// GraphLab's asynchronous ALS retrieves and read-locks every h_j (j ∈ Ω_i)
 /// across the network before updating w_i. The trajectory simulated here is
-/// plain ALS (the asynchronous schedule changes update order, not the
-/// fixed-point sweeps' cost structure); the virtual clock charges, per
+/// plain ALS — AlsSolver's sweeps (AlsEngineT), run serially — since the
+/// asynchronous schedule changes update order, not the fixed-point sweeps'
+/// cost structure. The virtual clock charges, per
 /// rating, a lock round-trip (inter-machine with probability (M−1)/M,
 /// intra-machine otherwise, pipelined `lock_pipeline` deep) plus the k·8
 /// bytes of the fetched parameter row, and per row/column the Cholesky

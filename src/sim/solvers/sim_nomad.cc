@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "data/shard.h"
@@ -41,9 +42,9 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     return Status::InvalidArgument(
         "worker_max_batch must be positive with worker_batch_auto");
   }
-  auto schedule = MakeSchedule(train.schedule, train.alpha, train.beta);
-  if (!schedule.ok()) return schedule.status();
-  const StepSchedule& sched = *schedule.value();
+  auto made = MakeUpdateKernel<double>(train);
+  if (!made.ok()) return made.status();
+  const UpdateKernelT<double> kernel = std::move(made).value();
 
   const int num_machines = cluster.machines;
   const int cores = cluster.compute_cores;
@@ -204,8 +205,8 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     }
   };
 
-  // Applies one token's updates (logging first, as the replay contract
-  // requires) and returns how many ratings it covered.
+  // Applies one token's updates, logging first as the replay contract
+  // requires.
   const auto process_token = [&](int worker, const Token& token) {
     if (options.process_log != nullptr) {
       options.process_log->emplace_back(worker, token.item);
@@ -216,11 +217,9 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     double* hj = h.Row(token.item);
     for (int32_t t = 0; t < count; ++t) {
       const ColumnShards::Entry& e = entries[t];
-      ScheduledSgdUpdate(e.value, sched, &counts, e.csc_pos, train.lambda,
-                         w.Row(e.row), hj, k);
+      kernel.Apply(e.value, &counts, e.csc_pos, w.Row(e.row), hj);
     }
     total_updates += count;
-    return count;
   };
 
   // Takes the final trace point when the update budget is exhausted.
@@ -237,31 +236,6 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     busy[static_cast<size_t>(worker)] = 1;
     auto& wq = queue[static_cast<size_t>(worker)];
     const int machine = machine_of(worker);
-
-    if (!options.worker_batch_auto && options.worker_batch_size == 1) {
-      // Token-at-a-time fast path (the default and the paper's Algorithm
-      // 1): scalar event captures, no per-event allocation.
-      const Token token = wq.front();
-      wq.pop_front();
-      int32_t n = 0;
-      shards.ColEntries(worker, token.item, &n);
-      const double work =
-          n > 0 ? n * cluster.UpdateSeconds(machine, k)
-                : 0.1 * cluster.UpdateSeconds(machine, k);
-      eq.Schedule(now + work, [&, worker, token, work](SimTime at) {
-        result.busy_seconds += work;  // counted at completion so utilization
-                                      // never includes in-flight work
-        busy[static_cast<size_t>(worker)] = 0;
-        process_token(worker, token);
-        if (max_updates > 0 && total_updates >= max_updates && !stopping) {
-          budget_stop(at);
-          return;
-        }
-        route(worker, token, at);
-        try_start(worker, at);
-      });
-      return;
-    }
 
     // Drain up to the configured (or controller-chosen) batch of queued
     // tokens into one busy period — the virtual-time analogue of the
@@ -298,7 +272,6 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
                 [&, worker, batch = std::move(batch),
                  works = std::move(works), total_work](SimTime at) {
       busy[static_cast<size_t>(worker)] = 0;
-      const SimTime start = at - total_work;
       double done_work = 0.0;
       for (size_t b = 0; b < batch.size(); ++b) {
         const Token& token = batch[b];
@@ -310,7 +283,7 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
           // applied tokens' work. Unprocessed tokens of the batch stay
           // unlogged so a serial replay of the log remains bit-exact.
           result.busy_seconds += done_work;
-          budget_stop(start + done_work);
+          budget_stop(at - (total_work - done_work));
           return;
         }
         route(worker, token, at);

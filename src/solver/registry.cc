@@ -3,7 +3,6 @@
 #include "baselines/als.h"
 #include "baselines/ccdpp.h"
 #include "baselines/dsgd.h"
-#include "baselines/dsgdpp.h"
 #include "baselines/fpsgd.h"
 #include "baselines/hogwild.h"
 #include "baselines/serial_sgd.h"

@@ -2,12 +2,6 @@
 
 namespace nomad {
 
-int64_t StepCounts::TotalUpdates() const {
-  int64_t total = 0;
-  for (uint32_t c : counts_) total += c;
-  return total;
-}
-
 template <typename Real>
 Result<UpdateKernelT<Real>> MakeUpdateKernel(const TrainOptions& options) {
   auto schedule = MakeSchedule(options.schedule, options.alpha, options.beta);

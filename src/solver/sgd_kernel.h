@@ -28,32 +28,19 @@ class StepCounts {
     return counts_[static_cast<size_t>(pos)]++;
   }
 
-  uint32_t CountAt(int64_t pos) const {
-    return counts_[static_cast<size_t>(pos)];
-  }
-
-  int64_t TotalUpdates() const;
-
  private:
   std::vector<uint32_t> counts_;
 };
 
-/// One schedule-driven SGD update of (w_i, h_j) for a rating at CSC
-/// position `pos`. Returns the pre-update prediction error.
-inline double ScheduledSgdUpdate(double rating, const StepSchedule& schedule,
-                                 StepCounts* counts, int64_t pos,
-                                 double lambda, double* w, double* h, int k) {
-  const double step = schedule.Step(counts->NextCount(pos));
-  return SgdUpdatePair(rating, step, lambda, w, h, k);
-}
-
 /// Bundles schedule + loss + λ into the per-rating update the SGD-family
-/// solvers share (nomad, dist_nomad, serial_sgd, hogwild, dsgd, dsgd++,
-/// fpsgd**), templated on the factor-row storage precision. Built by
-/// MakeUpdateKernel, and owns the schedule and loss it resolved. A null
-/// loss selects the specialized squared-loss kernel (the paper's setting
-/// and the SIMD fast path, see simd_ops.h); any other Loss goes through the
-/// general gradient form of Sec. 2. Rating/step/λ arrive in double from the
+/// solvers share (nomad, dist_nomad, serial_sgd, hogwild, fpsgd**, dsgd and
+/// dsgd++ through StratifiedSgdT, and the simulators sim_nomad, sim_dsgd
+/// and sim_dsgdpp at double precision), templated on the factor-row
+/// storage precision. Built by MakeUpdateKernel, and owns the schedule and
+/// loss it resolved. A null loss selects the specialized squared-loss
+/// kernel (the paper's setting and the SIMD fast path, see simd_ops.h);
+/// any other Loss goes through the general gradient form of Sec. 2.
+/// Rating/step/λ arrive in double from the
 /// schedule and are rounded once per update for float rows — the
 /// per-element arithmetic then runs entirely in Real.
 template <typename Real>

@@ -25,25 +25,16 @@
 namespace nomad {
 namespace {
 
-TEST(SerializabilityTest, SimNomadReplaysSeriallyBitExact) {
-  const Dataset ds = MakeTestDataset(200, 40, 4000, 61);
-
-  SimOptions options;
-  options.train = FastTrainOptions(/*epochs=*/3);
-  options.cluster.machines = 4;
-  options.cluster.cores = 4;
-  options.cluster.compute_cores = 2;
-  options.network = CommodityNetwork();
-  options.eval_interval = 1e-4;
+// Runs sim_nomad with a process log, replays the log serially through the
+// same kernel (identical initialization, shards, schedule and counts), and
+// expects bit-identical factors.
+void ExpectSerialReplayBitExact(const Dataset& ds, SimOptions options) {
   std::vector<std::pair<int, int32_t>> log;
   options.process_log = &log;
-
   SimNomadSolver solver;
   auto result = solver.Train(ds, options).value();
   ASSERT_FALSE(log.empty());
 
-  // Serial replay: identical initialization, shards, schedule and counts;
-  // process tokens in the logged order.
   FactorMatrix w;
   FactorMatrix h;
   InitFactors(ds, options.train, &w, &h);
@@ -52,18 +43,15 @@ TEST(SerializabilityTest, SimNomadReplaysSeriallyBitExact) {
       UserPartition::ByRatings(ds.train, workers);
   const ColumnShards shards = ColumnShards::Build(ds.train, partition);
   StepCounts counts(ds.train.nnz());
-  auto schedule = MakeSchedule(options.train.schedule, options.train.alpha,
-                               options.train.beta);
-  ASSERT_TRUE(schedule.ok());
+  auto kernel = MakeUpdateKernel<double>(options.train);
+  ASSERT_TRUE(kernel.ok());
   int64_t replayed = 0;
   for (const auto& [worker, item] : log) {
     int32_t n = 0;
     const ColumnShards::Entry* entries = shards.ColEntries(worker, item, &n);
-    double* hj = h.Row(item);
     for (int32_t t = 0; t < n; ++t) {
-      ScheduledSgdUpdate(entries[t].value, *schedule.value(), &counts,
-                         entries[t].csc_pos, options.train.lambda,
-                         w.Row(entries[t].row), hj, options.train.rank);
+      kernel.value().Apply(entries[t].value, &counts, entries[t].csc_pos,
+                           w.Row(entries[t].row), h.Row(item));
     }
     replayed += n;
   }
@@ -72,12 +60,7 @@ TEST(SerializabilityTest, SimNomadReplaysSeriallyBitExact) {
   EXPECT_EQ(h.MaxAbsDiff(result.train.h), 0.0);
 }
 
-TEST(SerializabilityTest, SimNomadReplayBitExactUnderWorkerBatching) {
-  // Same replay property with batched token processing: draining several
-  // tokens per busy period reorders *between* tokens but never interleaves
-  // within one, so the logged order must still replay bit-exactly.
-  const Dataset ds = MakeTestDataset(200, 40, 4000, 62);
-
+SimOptions ReplayOptions() {
   SimOptions options;
   options.train = FastTrainOptions(/*epochs=*/3);
   options.cluster.machines = 4;
@@ -85,40 +68,21 @@ TEST(SerializabilityTest, SimNomadReplayBitExactUnderWorkerBatching) {
   options.cluster.compute_cores = 2;
   options.network = CommodityNetwork();
   options.eval_interval = 1e-4;
+  return options;
+}
+
+TEST(SerializabilityTest, SimNomadReplaysSeriallyBitExact) {
+  ExpectSerialReplayBitExact(MakeTestDataset(200, 40, 4000, 61),
+                             ReplayOptions());
+}
+
+TEST(SerializabilityTest, SimNomadReplayBitExactUnderWorkerBatching) {
+  // Same replay property with batched token processing: draining several
+  // tokens per busy period reorders *between* tokens but never interleaves
+  // within one, so the logged order must still replay bit-exactly.
+  SimOptions options = ReplayOptions();
   options.worker_batch_size = 4;
-  std::vector<std::pair<int, int32_t>> log;
-  options.process_log = &log;
-
-  SimNomadSolver solver;
-  auto result = solver.Train(ds, options).value();
-  ASSERT_FALSE(log.empty());
-
-  FactorMatrix w;
-  FactorMatrix h;
-  InitFactors(ds, options.train, &w, &h);
-  const int workers = options.cluster.machines * options.cluster.compute_cores;
-  const UserPartition partition =
-      UserPartition::ByRatings(ds.train, workers);
-  const ColumnShards shards = ColumnShards::Build(ds.train, partition);
-  StepCounts counts(ds.train.nnz());
-  auto schedule = MakeSchedule(options.train.schedule, options.train.alpha,
-                               options.train.beta);
-  ASSERT_TRUE(schedule.ok());
-  int64_t replayed = 0;
-  for (const auto& [worker, item] : log) {
-    int32_t n = 0;
-    const ColumnShards::Entry* entries = shards.ColEntries(worker, item, &n);
-    double* hj = h.Row(item);
-    for (int32_t t = 0; t < n; ++t) {
-      ScheduledSgdUpdate(entries[t].value, *schedule.value(), &counts,
-                         entries[t].csc_pos, options.train.lambda,
-                         w.Row(entries[t].row), hj, options.train.rank);
-    }
-    replayed += n;
-  }
-  EXPECT_EQ(replayed, result.train.total_updates);
-  EXPECT_EQ(w.MaxAbsDiff(result.train.w), 0.0);
-  EXPECT_EQ(h.MaxAbsDiff(result.train.h), 0.0);
+  ExpectSerialReplayBitExact(MakeTestDataset(200, 40, 4000, 62), options);
 }
 
 TEST(SerializabilityTest, OwnershipInvariantHoldsUnderThreadPressure) {

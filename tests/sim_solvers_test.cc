@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/ccdpp.h"
+#include <string>
+#include <tuple>
+#include <utility>
+
+#include "solver/registry.h"
 #include "test_util.h"
 
 namespace nomad {
@@ -136,22 +140,49 @@ TEST(SimDsgdppTest, OverlapBeatsDsgdOnSlowNetwork) {
   EXPECT_LT(dsgdpp.train.total_seconds, dsgd.train.total_seconds * 1.05);
 }
 
-TEST(SimCcdppTest, TrajectoryMatchesThreadedCcdpp) {
-  // The simulated CCD++ must follow the exact same per-epoch trajectory as
-  // the shared-memory CCD++ (bulk-synchronous determinism).
+// The bulk-synchronous simulators run their threaded counterpart's engine
+// serially (StratifiedSgdT, CcdppEngineT, AlsEngineT), so with one machine
+// per threaded worker they must follow its trajectory bit for bit: only
+// the clock differs. Parameters: (simulator, threaded solver), bold driver.
+class SimTrajectoryTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::pair<std::string, std::string>, bool>> {};
+
+TEST_P(SimTrajectoryTest, MatchesThreadedSolverBitForBit) {
+  const auto& [names, bold] = GetParam();
+  const auto& [sim_name, threaded_name] = names;
   const Dataset ds = MakeTestDataset(200, 40, 4000, 57);
-  SimOptions sim_options = BasicSimOptions(4, 3);
+  SimOptions sim_options = BasicSimOptions(3, 3);
+  sim_options.train.bold_driver = bold;
   sim_options.train.lambda = 0.05;
-  auto sim = MakeSimSolver("sim_ccdpp").value()->Train(ds, sim_options).value();
+  auto sim = MakeSimSolver(sim_name).value()->Train(ds, sim_options);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
 
-  CcdppSolver threaded;
   TrainOptions threaded_options = sim_options.train;
-  threaded_options.num_workers = 2;
-  auto thr = threaded.Train(ds, threaded_options).value();
+  threaded_options.num_workers = sim_options.cluster.machines;
+  auto thr = MakeSolver(threaded_name).value()->Train(ds, threaded_options);
+  ASSERT_TRUE(thr.ok()) << thr.status().ToString();
 
-  EXPECT_EQ(sim.train.w.MaxAbsDiff(thr.w), 0.0);
-  EXPECT_EQ(sim.train.h.MaxAbsDiff(thr.h), 0.0);
+  EXPECT_EQ(sim.value().train.w.MaxAbsDiff(thr.value().w), 0.0);
+  EXPECT_EQ(sim.value().train.h.MaxAbsDiff(thr.value().h), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BulkSynchronous, SimTrajectoryTest,
+    ::testing::Combine(
+        ::testing::Values(std::pair<std::string, std::string>{"sim_dsgd",
+                                                              "dsgd"},
+                          std::pair<std::string, std::string>{"sim_dsgdpp",
+                                                              "dsgdpp"},
+                          std::pair<std::string, std::string>{"sim_ccdpp",
+                                                              "ccdpp"},
+                          std::pair<std::string, std::string>{"sim_lock_als",
+                                                              "als"}),
+        ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param).first +
+             (std::get<1>(info.param) ? "_bold" : "_schedule");
+    });
 
 TEST(SimLockAlsTest, LockingDominatesOnCommodityCluster) {
   // Appendix F shape: the lock-based ALS pays orders of magnitude more

@@ -113,6 +113,19 @@ TEST(SyntheticTest, MiniDatasetsGenerate) {
   }
 }
 
+TEST(SyntheticTest, MiniConfigByNameKnowsThePresets) {
+  EXPECT_EQ(MiniConfigByName("netflix", 0.5).value().rows,
+            NetflixMiniConfig(0.5).rows);
+  EXPECT_EQ(MiniConfigByName("yahoo").value().cols, YahooMiniConfig().cols);
+  EXPECT_EQ(MiniConfigByName("hugewiki").value().nnz,
+            HugewikiMiniConfig().nnz);
+  const auto unknown = MiniConfigByName("nosuch");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("netflix, yahoo, hugewiki"),
+            std::string::npos);
+}
+
 TEST(SyntheticTest, StatsMatchTable2Constants) {
   ASSERT_EQ(std::size(kPaperTable2), 3u);
   EXPECT_EQ(kPaperTable2[0].nnz, 99072112);

@@ -28,6 +28,13 @@
 // --metrics-sample-ms N adds background sampler rows between trace points
 // (train only: the simulators run on virtual time, with no clock to sample).
 // See docs/OBSERVABILITY.md for the metric reference and JSONL schema.
+//
+// Each subcommand accepts only the flags it reads (see Subcommands()); any
+// other flag exits 1 with InvalidArgument. simulate reads --preset,
+// --scale, --solver, --machines, --rank, --epochs, --network (hpc or
+// commodity), --loss (squared only) and --trace-out; it takes λ, α, β and
+// the seed from the preset (bench::MakeSimOptions), not from flags. An
+// unknown --preset is an InvalidArgument that lists the known ones.
 
 #include <cstdio>
 #include <memory>
@@ -55,23 +62,9 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-// The union of every flag any subcommand accepts; ExpectKnown turns the
-// silent-typo failure mode (`--metrics-prot`) into a startup error.
-const std::vector<std::string> kKnownFlags = {
-    // dataset flags (bench::LoadDatasetFromFlags contract)
-    "input", "preset", "scale", "one-based", "test-fraction", "seed",
-    // training
-    "rank", "lambda", "alpha", "beta", "loss", "workers", "token-batch",
-    "max-token-batch", "epochs", "max-seconds", "bold-driver", "precision",
-    "numa", "solver", "model", "metrics-port",
-    // timeline: trace-out (train / simulate), metrics-sample-ms (train)
-    "trace-out", "metrics-sample-ms",
-    // topn
-    "user", "n",
-    // simulate
-    "machines", "network",
-    // watch
-    "endpoint", "once", "interval-ms", "frames"};
+// The dataset flags (bench::LoadDatasetFromFlags contract).
+const std::vector<std::string> kDatasetFlags = {
+    "input", "preset", "scale", "one-based", "test-fraction", "seed"};
 
 // Dataset flags are shared with dist_nomad_cli through bench_common so
 // both CLIs always produce identical train/test splits from identical
@@ -114,7 +107,7 @@ Result<TrainOptions> OptionsFromFlags(const Flags& flags) {
   return o;
 }
 
-int CmdSolvers() {
+int CmdSolvers(const Flags& /*flags*/) {
   std::printf("shared-memory solvers:\n");
   for (const auto& name : SolverNames()) std::printf("  %s\n", name.c_str());
   std::printf("simulated distributed solvers:\n");
@@ -241,22 +234,21 @@ int CmdTopN(const Flags& flags) {
 }
 
 int CmdSimulate(const Flags& flags) {
-  if (flags.Has("metrics-sample-ms")) {
-    return Fail(Status::InvalidArgument(
-                    "--metrics-sample-ms does not apply to simulate: the "
-                    "simulators run on virtual time, with no wall clock "
-                    "to sample")
-                    .ToString());
-  }
   const std::string preset = flags.GetString("preset", "netflix");
   const std::string solver_name = flags.GetString("solver", "sim_nomad");
   const int machines = static_cast<int>(flags.GetInt("machines", 8));
   const int rank = static_cast<int>(flags.GetInt("rank", 16));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
-  const bool commodity =
-      flags.GetString("network", "hpc") == "commodity";
-  const Dataset ds =
-      bench::GetDataset(preset, flags.GetDouble("scale", 0.25));
+  const std::string network = flags.GetString("network", "hpc");
+  if (network != "hpc" && network != "commodity") {
+    return Fail(Status::InvalidArgument("unknown --network '" + network +
+                                        "' (known: hpc, commodity)")
+                    .ToString());
+  }
+  const bool commodity = network == "commodity";
+  auto loaded = bench::LoadPreset(preset, flags.GetDouble("scale", 0.25));
+  if (!loaded.ok()) return Fail(loaded.status().ToString());
+  const Dataset& ds = loaded.value();
   SimOptions options = bench::MakeSimOptions(
       commodity ? bench::Preset::kCommodity : bench::Preset::kHpc, preset,
       solver_name, machines, rank, epochs);
@@ -316,6 +308,37 @@ int Usage() {
   return 1;
 }
 
+/// A subcommand and every flag it reads. Any other flag is an error: a
+/// typo (`--metrics-prot`) or a flag the subcommand would silently ignore
+/// (`simulate --lambda`).
+struct Subcommand {
+  std::string name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+std::vector<Subcommand> Subcommands() {
+  std::vector<std::string> train = {
+      "rank", "lambda", "alpha", "beta", "loss", "workers", "token-batch",
+      "max-token-batch", "epochs", "max-seconds", "bold-driver",
+      "precision", "numa", "solver", "model", "metrics-port", "trace-out",
+      "metrics-sample-ms"};
+  train.insert(train.end(), kDatasetFlags.begin(), kDatasetFlags.end());
+  std::vector<std::string> evaluate = {"model"};
+  evaluate.insert(evaluate.end(), kDatasetFlags.begin(), kDatasetFlags.end());
+  return {
+      {"train", CmdTrain, train},
+      {"evaluate", CmdEvaluate, evaluate},
+      {"topn", CmdTopN, {"model", "user", "n"}},
+      {"simulate",
+       CmdSimulate,
+       {"preset", "scale", "solver", "machines", "rank", "epochs", "network",
+        "loss", "trace-out"}},
+      {"watch", CmdWatch, {"endpoint", "once", "interval-ms", "frames"}},
+      {"solvers", CmdSolvers, {}},
+  };
+}
+
 }  // namespace
 }  // namespace nomad
 
@@ -325,13 +348,14 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   Flags flags;
   NOMAD_CHECK(flags.Parse(argc - 1, argv + 1).ok());
-  const Status known = flags.ExpectKnown(kKnownFlags);
-  if (!known.ok()) return Fail(known.ToString());
-  if (command == "solvers") return CmdSolvers();
-  if (command == "train") return CmdTrain(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "topn") return CmdTopN(flags);
-  if (command == "simulate") return CmdSimulate(flags);
-  if (command == "watch") return CmdWatch(flags);
+  for (const Subcommand& sub : Subcommands()) {
+    if (sub.name != command) continue;
+    const Status known = flags.ExpectKnown(sub.flags);
+    if (!known.ok()) {
+      return Fail(Status::InvalidArgument(command + ": " + known.message())
+                      .ToString());
+    }
+    return sub.run(flags);
+  }
   return Usage();
 }
